@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -12,6 +11,7 @@ from . import bipartite, exchange_graph, finite_type, mutation, principal
 from .laurent import LaurentPolynomial, lp_canonical_text, lp_substitute_monomial
 from .mutation import (
     CARTAN,
+    InvalidDirection,
     bipartite_matrix_from_cartan,
     matrix,
     matrix_from_json,
@@ -29,17 +29,6 @@ from .semifield import (
 
 class UsageError(click.UsageError):
     pass
-
-
-def _threads():
-    raw = os.environ.get("CLUSTER_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise UsageError("CLUSTER_THREADS must be an integer")
-    if v < 1:
-        raise UsageError("CLUSTER_THREADS must be positive")
-    return v
 
 
 def _load_b(type_name, matrix_file, rank2, btilde_file=None):
@@ -121,7 +110,6 @@ def _trop_text(exps, gens):
 @click.group()
 def main():
     """Exact cluster-algebra computations: seeds, belts, Y-systems."""
-    _threads()
 
 
 def _walk_text(B0, path):
@@ -489,6 +477,9 @@ def run():
         main(standalone_mode=False)
     except click.UsageError as exc:
         click.echo("usage error: %s" % exc.format_message(), err=True)
+        sys.exit(2)
+    except InvalidDirection as exc:
+        click.echo("usage error: %s" % exc, err=True)
         sys.exit(2)
     except click.exceptions.Abort:
         sys.exit(2)

@@ -1,14 +1,28 @@
 """Exact multivariate Laurent polynomials and rational expressions.
 
-Terms are stored in a hash map keyed by integer exponent vectors; all
-coefficients are arbitrary-precision Python ints.  The monomial order used
-for division and serialization is graded lexicographic.
+A polynomial's terms are a dict from exponent tuples to nonzero
+arbitrary-precision Python ints.  The monomial order used for division and
+serialization is graded lexicographic (grlex).
+
+Inside multiplication and exact division, each operand is shifted by its
+minimum exponents so that every exponent is >= 0, and each exponent vector
+is packed into one int: the total degree in the top field, then e_0 ... e_{n-1},
+every field wide enough for the largest total degree plus one guard bit.
+Integer order on packed keys is grlex order, adding two keys multiplies the
+monomials, and a monomial r is divisible by m exactly when subtracting m
+from r with every guard bit set clears none of them.  Division keeps the
+remainder as a dict from packed keys to coefficients plus a max-heap of its
+keys, pruned lazily (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007); only the result is
+unpacked back to tuples.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
+from operator import add, mul, sub
 
 
 class NonExactDivision(ArithmeticError):
@@ -21,6 +35,42 @@ class ZeroPolynomial(ValueError):
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+class _Packing:
+    """Packed-key layout for n exponents >= 0 of total degree <= top."""
+
+    __slots__ = ("weights", "shifts", "mask", "guard")
+
+    def __init__(self, n, top):
+        bits = top.bit_length()
+        width = bits + 1
+        self.shifts = tuple(range((n - 1) * width, -1, -width))
+        # pack(e) = sum(e_i * weight_i) is linear, so it also packs e - base
+        # as pack(e) - pack(base); the degree field collects every e_i.
+        self.weights = tuple((1 << s) + (1 << (n * width)) for s in self.shifts)
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (s + bits) for s in self.shifts + (n * width,))
+
+    def pack(self, terms, base):
+        """[(key of e - base, c)] for the (e, c) of a term dict."""
+        w = self.weights
+        b = sum(map(mul, base, w))
+        return [(sum(map(mul, e, w)) - b, c) for e, c in terms.items()]
+
+    def unpack(self, packed, offset):
+        """{e + offset: c} for the (key of e, c) pairs with c != 0."""
+        shifts, mask = self.shifts, self.mask
+        return {
+            tuple(((k >> s) & mask) + o for s, o in zip(shifts, offset)): c
+            for k, c in packed
+            if c
+        }
+
+
+def _top_degree(p, mins):
+    """Largest total degree of p after shifting it by -mins."""
+    return max(map(sum, p.terms)) - sum(mins)
 
 
 class LaurentPolynomial:
@@ -36,6 +86,15 @@ class LaurentPolynomial:
                 clean[tuple(e)] = c
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, variables, terms):
+        """Wrap a dict of tuple keys and nonzero ints without copying it."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -107,16 +166,35 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPolynomial(
+            if not other:
+                return LaurentPolynomial._of(self.vars, {})
+            return LaurentPolynomial._of(
                 self.vars, {e: c * other for e, c in self.terms.items()}
             )
         self._check(other)
+        a, b = self, other
+        if len(a.terms) == 1:
+            a, b = b, a
+        if len(b.terms) == 1:
+            # monomial factor: shift and scale, no two terms can meet
+            ((e2, c2),) = b.terms.items()
+            return LaurentPolynomial._of(
+                self.vars,
+                {tuple(map(add, e, e2)): c * c2 for e, c in a.terms.items()},
+            )
+        if not a.terms or not b.terms:
+            return LaurentPolynomial._of(self.vars, {})
+        ma, mb = a.min_exponents(), b.min_exponents()
+        layout = _Packing(len(self.vars), _top_degree(a, ma) + _top_degree(b, mb))
+        pb = layout.pack(b.terms, mb)
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, 0) + c1 * c2
-        return LaurentPolynomial(self.vars, t)
+        get = t.get
+        for ka, ca in layout.pack(a.terms, ma):
+            for kb, cb in pb:
+                k = ka + kb
+                t[k] = get(k, 0) + ca * cb
+        offset = tuple(map(add, ma, mb))
+        return LaurentPolynomial._of(self.vars, layout.unpack(t.items(), offset))
 
     __rmul__ = __mul__
 
@@ -142,23 +220,13 @@ class LaurentPolynomial:
     def min_exponents(self):
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no exponents")
-        n = len(self.vars)
-        mins = [None] * n
-        for e in self.terms:
-            for i in range(n):
-                if mins[i] is None or e[i] < mins[i]:
-                    mins[i] = e[i]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms)))
 
     def shift(self, delta):
         return LaurentPolynomial(
             self.vars,
             {tuple(a + d for a, d in zip(e, delta)): c for e, c in self.terms.items()},
         )
-
-    def leading(self):
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.vars), 0)
@@ -177,31 +245,51 @@ def lp_exact_div(p, q):
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return p
-    mp = p.min_exponents()
-    mq = q.min_exponents()
-    # shift both to genuine polynomials
-    P = p.shift(tuple(-a for a in mp))
-    Q = q.shift(tuple(-a for a in mq))
-    qe, qc = Q.leading()
-    quot = {}
-    rem = dict(P.terms)
-    while rem:
-        re_ = max(rem, key=_grlex_key)
-        rc = rem[re_]
-        de = tuple(a - b for a, b in zip(re_, qe))
-        if any(a < 0 for a in de) or rc % qc:
+    if len(q.terms) == 1:
+        ((qe, qc),) = q.terms.items()
+        quot = {}
+        for e, c in p.terms.items():
+            if c % qc:
+                raise NonExactDivision("non-exact division")
+            quot[tuple(map(sub, e, qe))] = c // qc
+        return LaurentPolynomial._of(p.vars, quot)
+    mp, mq = p.min_exponents(), q.min_exponents()
+    layout = _Packing(len(p.vars), max(_top_degree(p, mp), _top_degree(q, mq)))
+    guard = layout.guard
+    Q = sorted(layout.pack(q.terms, mq), reverse=True)
+    lead, qc = Q[0]
+    tail = Q[1:]
+    rem = dict(layout.pack(p.terms, mp))
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    quot = []
+    while heap:
+        r = -pop(heap)
+        rc = rem.pop(r, 0)
+        if not rc:
+            continue  # stale: this key cancelled after it was pushed
+        # a field borrows, and clears its guard bit, iff r's is below lead's
+        if ((r | guard) - lead) & guard != guard or rc % qc:
             raise NonExactDivision("non-exact division")
+        d = r - lead
         dc = rc // qc
-        quot[de] = dc
-        for e2, c2 in Q.terms.items():
-            e = tuple(a + b for a, b in zip(de, e2))
-            nc = rem.get(e, 0) - dc * c2
-            if nc:
-                rem[e] = nc
+        quot.append((d, dc))
+        # every d + e2 below is smaller than r, so r is settled for good
+        for e2, c2 in tail:
+            e = d + e2
+            c = rem.get(e)
+            if c is None:
+                rem[e] = -dc * c2
+                push(heap, -e)
             else:
-                rem.pop(e, None)
-    shift = tuple(a - b for a, b in zip(mp, mq))
-    return LaurentPolynomial(p.vars, quot).shift(shift)
+                c -= dc * c2
+                if c:
+                    rem[e] = c
+                else:
+                    del rem[e]
+    offset = tuple(map(sub, mp, mq))
+    return LaurentPolynomial._of(p.vars, layout.unpack(quot, offset))
 
 
 def lp_divides(q, p):

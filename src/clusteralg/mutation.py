@@ -22,6 +22,17 @@ class SizeGuardExceeded(RuntimeError):
     pass
 
 
+class InvalidDirection(ValueError):
+    pass
+
+
+def _direction(k, n):
+    """0-based index of the 1-based mutation direction k of a rank-n seed."""
+    if not 1 <= k <= n:
+        raise InvalidDirection("mutation direction %r is not in 1..%d" % (k, n))
+    return k - 1
+
+
 def _pos(a):
     return a if a > 0 else 0
 
@@ -105,9 +116,9 @@ def mutate_matrix(M, k):
 
     Both standard formulas are computed and asserted equal.
     """
-    kk = k - 1
     m = len(M)
     n = len(M[0])
+    kk = _direction(k, n)
     out1 = []
     out2 = []
     for i in range(m):
@@ -144,7 +155,7 @@ class LabeledYSeed:
 def mutate_y(ys, k):
     """Y-seed mutation: y'_k = 1/y_k; y'_j = y_j y_k^{[b_kj]+} (y_k+1)^{-b_kj}."""
     S = ys.S
-    kk = k - 1
+    kk = _direction(k, len(ys.B))
     yk = ys.y[kk]
     yk1 = S.oplus(yk, S.one())
     new = []
@@ -207,9 +218,9 @@ def initial_geometric_seed(Btilde, variables=None):
 
 def mutate_seed_geometric(seed, k):
     """Geometric exchange: x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k."""
-    kk = k - 1
     m = len(seed.vars)
     n = seed.n
+    kk = _direction(k, n)
     plus = LaurentPolynomial.const(seed.vars, 1)
     minus = LaurentPolynomial.const(seed.vars, 1)
     for i in range(m):
@@ -236,7 +247,7 @@ def mutate_seed_rational_oracle(x, ys, k, max_rank=3, max_steps=8, _step_budget=
     n = len(ys.B)
     if n > max_rank:
         raise SizeGuardExceeded("oracle limited to rank <= %d" % max_rank)
-    kk = k - 1
+    kk = _direction(k, n)
     S = ys.S
     yk = ys.y[kk]
     yk1 = S.oplus(yk, S.one())

@@ -112,3 +112,30 @@ def test_out_flag_writes_file(tmp_path):
     dest = tmp_path / "out.txt"
     run_cli("f-poly", "--type", "A2", "--path", "2,1", "--out", str(dest))
     assert dest.read_text().startswith("F[1] = ")
+
+
+def _assert_one_line_usage_error(out):
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("usage error: ")
+
+
+def test_mutate_direction_zero_is_a_usage_error():
+    _assert_one_line_usage_error(
+        run_cli("mutate", "--type", "A2", "--path", "0", check=False)
+    )
+
+
+def test_mutate_nonpositive_directions_are_a_usage_error():
+    _assert_one_line_usage_error(
+        run_cli("mutate", "--type", "A2", "--path", "0,-1", check=False)
+    )
+
+
+def test_mutate_direction_above_rank_is_a_usage_error(tmp_path):
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps({"B": [[0, 2], [-1, 0]]}))
+    _assert_one_line_usage_error(
+        run_cli("mutate", "--matrix", str(src), "--path", "3", check=False)
+    )

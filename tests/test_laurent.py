@@ -48,11 +48,124 @@ def test_exact_division_round_trip(p, q):
     assert lp_exact_div(p * q, q) == p
 
 
+# -- packed-key edges: up to 8 variables, exponents in +-40, and total
+# degrees that sit exactly on a bit-width boundary --------------------------
+
+
+def naive_product(p, q):
+    """Reference product on exponent tuples, no packing."""
+    t = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            t[e] = t.get(e, 0) + c1 * c2
+    return LaurentPolynomial(p.vars, t)
+
+
+coefs = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two polynomials in 1..8 variables with exponents in [-40, 40]."""
+    n = draw(st.integers(1, 8))
+    names = tuple("v%d" % i for i in range(n))
+    exps_n = st.tuples(*[st.integers(-40, 40)] * n)
+    terms = st.dictionaries(exps_n, coefs, max_size=6)
+    return LaurentPolynomial(names, draw(terms)), LaurentPolynomial(names, draw(terms))
+
+
+@st.composite
+def edge_factor(draw, n, offset, degree):
+    """A polynomial whose terms, shifted by -offset, have exponents >= 0,
+    minimum 0 in every variable, and top total degree exactly `degree`."""
+    i = draw(st.integers(0, n - 1))
+    top = tuple(degree if j == i else 0 for j in range(n))
+    low = st.tuples(*[st.integers(0, degree // n)] * n)
+    terms = {(0,) * n: draw(coefs), top: draw(coefs)}
+    terms.update(draw(st.dictionaries(low, coefs, max_size=3)))
+    shifted = {tuple(a + o for a, o in zip(e, offset)): c for e, c in terms.items()}
+    return LaurentPolynomial(tuple("v%d" % j for j in range(n)), shifted)
+
+
+@st.composite
+def edge_pairs(draw):
+    """(a, b) whose product has top shifted degree 2^k - 1 or 2^k."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    total = (1 << k) - draw(st.integers(0, 1))
+    da = draw(st.integers(1, total - 1)) if total > 1 else 1
+    offsets = st.tuples(*[st.integers(-40, 40)] * n)
+    a = draw(edge_factor(n, draw(offsets), da))
+    b = draw(edge_factor(n, draw(offsets), max(total - da, 1)))
+    return a, b
+
+
+pairs = st.one_of(wide_pairs(), edge_pairs())
+
+
+@given(pairs)
+@settings(max_examples=80, deadline=None)
+def test_packed_product_matches_naive_product(ab):
+    a, b = ab
+    assert a * b == naive_product(a, b)
+    assert b * a == naive_product(a, b)
+
+
+@given(pairs, st.sampled_from(["a", "a*q", "a*q + a", "a*q + lead"]))
+@settings(max_examples=80, deadline=None)
+def test_exact_division_is_exact_or_refuses(aq, form):
+    a, q = aq
+    if q.is_zero():
+        return
+    p = a * q
+    if form == "a":
+        p = a
+    elif form == "a*q + a":
+        p = p + a
+    elif form == "a*q + lead" and not p.is_zero():
+        # the leading coefficient of the dividend no longer divides evenly
+        p = p + LaurentPolynomial(p.vars, {p.sorted_terms()[0][0]: 1})
+    try:
+        r = lp_exact_div(p, q)
+    except NonExactDivision:
+        return
+    assert naive_product(r, q) == p
+
+
+@given(pairs)
+@settings(max_examples=80, deadline=None)
+def test_division_undoes_multiplication_across_field_widths(ab):
+    p, q = ab
+    if q.is_zero():
+        return
+    assert lp_exact_div(p * q, q) == p
+    if not p.is_zero():
+        assert lp_exact_div(p * q, p) == q
+
+
+@given(pairs, st.integers(2, 9), st.integers(-40, 40))
+@settings(max_examples=60, deadline=None)
+def test_monomial_divisor_with_non_unit_coefficient(ab, c, shift):
+    p, _ = ab
+    n = len(p.vars)
+    m = LaurentPolynomial.monomial(p.vars, [shift] * n, -c)
+    assert lp_exact_div(p * m, m) == p
+    if any(v % c for v in p.terms.values()):
+        with pytest.raises(NonExactDivision):
+            lp_exact_div(p, m)
+    else:
+        assert naive_product(lp_exact_div(p, m), m) == p
+
+
 def test_exact_division_detects_remainder():
     p = lp_parse("x + y", VARS)
     q = lp_parse("x + 1", VARS)
     with pytest.raises(NonExactDivision):
         lp_exact_div(p, q)
+    # exponents divide term by term, but 2 does not divide 3
+    with pytest.raises(NonExactDivision):
+        lp_exact_div(lp_parse("3*x + 2", VARS), lp_parse("2*x + 2", VARS))
 
 
 @given(nonzero_polys)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from clusteralg.laurent import RationalExpression, lp_canonical_text
 from clusteralg.mutation import (
     CARTAN,
+    InvalidDirection,
     LabeledYSeed,
     NotSkewSymmetrizable,
     bipartite_matrix_from_cartan,
@@ -123,6 +124,20 @@ def test_geometric_seed_mutation_is_an_involution(path):
     twice = mutate_seed_geometric(mutate_seed_geometric(seed, k), k)
     assert twice.Btilde == seed.Btilde
     assert twice.x == seed.x
+
+
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_directions_outside_1_to_n_are_rejected(k):
+    B = named_matrix("A2")
+    U = UniversalSemifield(("y1", "y2"))
+    ys = LabeledYSeed([U.generator("y1"), U.generator("y2")], B, U)
+    seed = initial_geometric_seed(principal_extension(B))
+    with pytest.raises(InvalidDirection):
+        mutate_matrix(principal_extension(B), k)
+    with pytest.raises(InvalidDirection):
+        mutate_y(ys, k)
+    with pytest.raises(InvalidDirection):
+        mutate_seed_geometric(seed, k)
 
 
 def test_general_coefficient_walk_matches_rational_oracle():
