@@ -10,8 +10,8 @@ import click
 from . import bipartite, exchange_graph, finite_type, mutation, principal
 from .laurent import LaurentPolynomial, lp_canonical_text, lp_substitute_monomial
 from .mutation import (
-    CARTAN,
     InvalidDirection,
+    MalformedMatrix,
     bipartite_matrix_from_cartan,
     matrix,
     matrix_from_json,
@@ -478,7 +478,7 @@ def run():
     except click.UsageError as exc:
         click.echo("usage error: %s" % exc.format_message(), err=True)
         sys.exit(2)
-    except InvalidDirection as exc:
+    except (InvalidDirection, MalformedMatrix) as exc:
         click.echo("usage error: %s" % exc, err=True)
         sys.exit(2)
     except click.exceptions.Abort:

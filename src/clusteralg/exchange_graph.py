@@ -1,8 +1,14 @@
-"""Seeds modulo relabeling, exchange-graph BFS, coverings, finiteness tests."""
+"""Seeds modulo relabeling, exchange-graph BFS, coverings, finiteness tests.
+
+Mutation is an involution, so the exchange-graph BFS computes each edge
+once: when mu_k of vertex v lands on vertex w, the relabeling that puts the
+mutated seed in canonical form, composed with w's own, names the direction
+of w that leads back to v, and the BFS skips that direction.
+"""
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations, product
 
 from .laurent import lp_canonical_text
 from .mutation import (
@@ -30,77 +36,81 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def _permute_seed(xs, ys, Bt, n, sigma):
-    """Apply a relabeling sigma (tuple: new index -> old index) to a
-    labeled seed's serialization data."""
-    px = tuple(xs[sigma[i]] for i in range(n))
-    py = tuple(ys[sigma[i]] for i in range(n))
+def _matrix_invariants(Bt, n):
+    """Per index: the multisets of its row and of its column."""
     m = len(Bt)
-    rows = []
-    for i in range(m):
-        src = sigma[i] if i < n else i
-        rows.append(tuple(Bt[src][sigma[j]] for j in range(n)))
-    return px, py, tuple(rows)
+    return [
+        (tuple(sorted(Bt[i])), tuple(sorted(Bt[r][i] for r in range(m))))
+        for i in range(n)
+    ]
 
 
-def seed_serialization_data(seed):
-    n = seed.n
-    xs = tuple(lp_canonical_text(x) for x in seed.x)
-    ycols = []
-    for j in range(n):
-        ycols.append(
-            tuple(seed.Btilde[i][j] for i in range(n, len(seed.vars)))
-        )
-    return xs, tuple(ycols), seed.Btilde, n
+def _permute_rows(Bt, n, sigma):
+    """Bt under a relabeling sigma (tuple: new index -> old index) of its
+    first n rows and of its columns."""
+    return tuple(
+        tuple(Bt[sigma[i] if i < n else i][c] for c in sigma)
+        for i in range(len(Bt))
+    )
 
 
-def seed_canonical_form(seed):
-    """Lexicographically minimal serialization over simultaneous relabelings.
-
-    Indices are first sorted by per-index invariants; only permutations
-    within tie blocks are explored.
-    """
-    xs, ys, Bt, n = seed_serialization_data(seed)
+def _block_search(inv, serialize):
+    """Minimal serialize(sigma) over the relabelings sigma that sort the
+    indices by their invariants inv; only permutations within tie blocks
+    are explored. Returns the minimum and the first sigma reaching it."""
+    n = len(inv)
     if n > 10:
         raise RankTooLarge("canonical form limited to rank <= 10")
-    inv = []
-    for i in range(n):
-        row_multiset = tuple(sorted(Bt[i]))
-        col_multiset = tuple(sorted(Bt[r][i] for r in range(len(Bt))))
-        inv.append((xs[i], ys[i], row_multiset, col_multiset))
-    order = sorted(range(n), key=lambda i: inv[i])
     blocks = []
-    for i in order:
+    for i in sorted(range(n), key=inv.__getitem__):
         if blocks and inv[blocks[-1][-1]] == inv[i]:
             blocks[-1].append(i)
         else:
             blocks.append([i])
-    best = None
-    for combo in _block_permutations(blocks):
-        cand = _permute_seed(xs, ys, Bt, n, combo)
+    best = best_sigma = None
+    for combo in product(*map(permutations, blocks)):
+        sigma = tuple(chain.from_iterable(combo))
+        cand = serialize(sigma)
         if best is None or cand < best:
-            best = cand
-    return repr(best).encode()
+            best, best_sigma = cand, sigma
+    return best, best_sigma
 
 
-def _block_permutations(blocks):
-    def rec(idx):
-        if idx == len(blocks):
-            yield ()
-            return
-        for perm in permutations(blocks[idx]):
-            for rest in rec(idx + 1):
-                yield perm + rest
-    return rec(0)
+def _canonical(texts, Bt, n):
+    """Key of the seed with cluster-variable texts and extended matrix Bt,
+    and the relabeling sigma whose serialization the key is."""
+    ys = tuple(tuple(Bt[i][j] for i in range(n, len(Bt))) for j in range(n))
+    inv = [(texts[i], ys[i]) + mi for i, mi in enumerate(_matrix_invariants(Bt, n))]
+
+    def serialize(sigma):
+        return (
+            tuple(texts[i] for i in sigma),
+            tuple(ys[i] for i in sigma),
+            _permute_rows(Bt, n, sigma),
+        )
+
+    best, sigma = _block_search(inv, serialize)
+    return repr(best).encode(), sigma
+
+
+def seed_canonical_form(seed):
+    """Lexicographically minimal serialization over simultaneous relabelings."""
+    texts = tuple(lp_canonical_text(x) for x in seed.x)
+    return _canonical(texts, seed.Btilde, seed.n)[0]
 
 
 def build_exchange_graph(seed, cap=10 ** 5):
     """BFS over seeds up to relabeling; returns a dict with vertices,
     edges, the root key, and a finiteness flag."""
     n = seed.n
-    root = seed_canonical_form(seed)
+    texts = tuple(lp_canonical_text(x) for x in seed.x)
+    root, sigma = _canonical(texts, seed.Btilde, n)
     keys = {root: 0}
     seeds = {0: seed}
+    # per vertex: the texts of its cluster variables and its relabeling
+    found = [(texts, sigma)]
+    # (vertex, 0-based direction) pairs whose edge is already in edges
+    known = set()
     edges = set()
     frontier = [0]
     finite = True
@@ -108,23 +118,27 @@ def build_exchange_graph(seed, cap=10 ** 5):
         nxt = []
         for vid in frontier:
             s = seeds[vid]
-            for k in range(1, n + 1):
-                s2 = mutate_seed_geometric(s, k)
-                key = seed_canonical_form(s2)
-                if key not in keys:
+            texts = found[vid][0]
+            for kk in range(n):
+                if (vid, kk) in known:
+                    continue
+                s2 = mutate_seed_geometric(s, kk + 1)
+                t2 = texts[:kk] + (lp_canonical_text(s2.x[kk]),) + texts[kk + 1:]
+                key, sigma = _canonical(t2, s2.Btilde, n)
+                w = keys.get(key)
+                if w is None:
                     if len(keys) >= cap:
                         finite = False
                         continue
-                    keys[key] = len(keys)
-                    seeds[keys[key]] = s2
-                    nxt.append(keys[key])
-                u, v = vid, keys[key]
-                edges.add((min(u, v), max(u, v)))
+                    w = keys[key] = len(keys)
+                    seeds[w] = s2
+                    found.append((t2, sigma))
+                    nxt.append(w)
+                # s2 is w's seed relabeled and mu_kk(s2) is s, so w's
+                # direction at canonical position sigma^-1(kk) leads to vid
+                known.add((w, found[w][1][sigma.index(kk)]))
+                edges.add((min(vid, w), max(vid, w)))
         frontier = nxt
-    variables = set()
-    for s in seeds.values():
-        for x in s.x:
-            variables.add(lp_canonical_text(x))
     return {
         "vertices": len(keys),
         "edges": sorted(edges),
@@ -132,7 +146,7 @@ def build_exchange_graph(seed, cap=10 ** 5):
         "finite": finite,
         "seeds": seeds,
         "keys": keys,
-        "cluster_variables": sorted(variables),
+        "cluster_variables": sorted({t for ts, _ in found for t in ts}),
     }
 
 
@@ -165,7 +179,6 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
     seen = {start}
     assignment = {start[0]: start[1]}
     frontier = [(sp, so)]
-    count = 0
     while frontier:
         nxt = []
         for p, o in frontier:
@@ -186,39 +199,13 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
                     seen.add(pair)
                     nxt.append((p2, o2))
         frontier = nxt
-        count += 1
     return True, None
 
 
 def _canonical_matrix(Bt, n):
-    m = len(Bt)
-    if n > 10:
-        raise RankTooLarge("canonicalization limited to rank <= 10")
-    inv = []
-    for i in range(n):
-        inv.append(
-            (
-                tuple(sorted(Bt[i])),
-                tuple(sorted(Bt[r][i] for r in range(m))),
-            )
-        )
-    order = sorted(range(n), key=lambda i: inv[i])
-    blocks = []
-    for i in order:
-        if blocks and inv[blocks[-1][-1]] == inv[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    best = None
-    for sigma in _block_permutations(blocks):
-        rows = []
-        for i in range(m):
-            src = sigma[i] if i < n else i
-            rows.append(tuple(Bt[src][sigma[j]] for j in range(n)))
-        cand = tuple(rows)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return _block_search(
+        _matrix_invariants(Bt, n), lambda sigma: _permute_rows(Bt, n, sigma)
+    )[0]
 
 
 def mutation_class_finiteness(Btilde, cap=10 ** 4):

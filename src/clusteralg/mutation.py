@@ -26,6 +26,10 @@ class InvalidDirection(ValueError):
     pass
 
 
+class MalformedMatrix(ValueError):
+    pass
+
+
 def _direction(k, n):
     """0-based index of the 1-based mutation direction k of a rank-n seed."""
     if not 1 <= k <= n:
@@ -42,12 +46,14 @@ def _sgn(a):
 
 
 def matrix(rows):
-    return tuple(tuple(int(v) for v in row) for row in rows)
-
-
-def matrix_columns(M, n=None):
-    n = n if n is not None else len(M[0])
-    return [tuple(row[j] for row in M) for j in range(n)]
+    M = tuple(tuple(int(v) for v in row) for row in rows)
+    if not M or not M[0]:
+        raise MalformedMatrix("matrix is empty")
+    n = len(M[0])
+    for row in M:
+        if len(row) != n:
+            raise MalformedMatrix("matrix rows have unequal lengths")
+    return M
 
 
 def principal_part(M, n):
@@ -363,7 +369,6 @@ CARTAN["D4"] = (
     (0, -1, 2, 0),
     (0, -1, 0, 2),
 )
-CARTAN["E8"] = None  # filled below
 CARTAN["A1xA1"] = ((2, 0), (0, 2))
 
 

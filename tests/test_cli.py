@@ -139,3 +139,12 @@ def test_mutate_direction_above_rank_is_a_usage_error(tmp_path):
     _assert_one_line_usage_error(
         run_cli("mutate", "--matrix", str(src), "--path", "3", check=False)
     )
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [-1]], []])
+def test_mutate_ragged_or_empty_matrix_is_a_usage_error(tmp_path, rows):
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps({"B": rows}))
+    _assert_one_line_usage_error(
+        run_cli("mutate", "--matrix", str(src), "--path", "1", check=False)
+    )

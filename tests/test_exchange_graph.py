@@ -1,9 +1,13 @@
 """Exchange graphs, coverings, and finite-type recognition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusteralg import exchange_graph
 from clusteralg.exchange_graph import (
     CapExceeded,
+    _canonical,
     build_exchange_graph,
     covering_check,
     graph_from_spec,
@@ -11,7 +15,9 @@ from clusteralg.exchange_graph import (
     mutation_class_finiteness,
     seed_canonical_form,
 )
+from clusteralg.laurent import lp_canonical_text
 from clusteralg.mutation import (
+    LabeledSeedGeometric,
     initial_geometric_seed,
     mutate_seed_geometric,
     named_matrix,
@@ -85,3 +91,128 @@ def test_is_finite_type():
     assert is_finite_type(named_matrix("G2"))
     assert not is_finite_type(rank2_matrix(2, 2))
     assert not is_finite_type(rank2_matrix(1, 4))
+
+
+def reference_exchange_graph(seed, cap=10 ** 5):
+    """The exchange-graph BFS that mutates every seed in all n directions,
+    so each edge is computed from both of its ends."""
+    keys = {seed_canonical_form(seed): 0}
+    seeds = {0: seed}
+    edges = set()
+    frontier = [0]
+    finite = True
+    while frontier:
+        nxt = []
+        for vid in frontier:
+            for k in range(1, seed.n + 1):
+                s2 = mutate_seed_geometric(seeds[vid], k)
+                key = seed_canonical_form(s2)
+                if key not in keys:
+                    if len(keys) >= cap:
+                        finite = False
+                        continue
+                    keys[key] = len(keys)
+                    seeds[keys[key]] = s2
+                    nxt.append(keys[key])
+                edges.add(tuple(sorted((vid, keys[key]))))
+        frontier = nxt
+    variables = {lp_canonical_text(x) for s in seeds.values() for x in s.x}
+    return {
+        "vertices": len(keys),
+        "edges": sorted(edges),
+        "finite": finite,
+        "seeds": seeds,
+        "keys": keys,
+        "cluster_variables": sorted(variables),
+    }
+
+
+def _seed_texts(s):
+    return tuple(lp_canonical_text(x) for x in s.x), s.Btilde, s.vars
+
+
+GRAPH_CASES = [
+    (name, coeffs, 10 ** 5)
+    for name in ("A2", "A3", "B3", "C3", "D4", "G2", "A1xA1")
+    for coeffs in ("principal", "trivial")
+] + [
+    ("rank2(2,2)", "principal", 7),
+    ("rank2(2,2)", "principal", 20),
+    ("rank2(2,2)", "trivial", 20),
+    ("A3", "principal", 9),
+    ("D4", "principal", 9),
+    ("D4", "trivial", 9),
+]
+
+
+@pytest.mark.parametrize("name,coeffs,cap", GRAPH_CASES)
+def test_graph_matches_both_directions_reference_bfs(name, coeffs, cap):
+    B = rank2_matrix(2, 2) if name == "rank2(2,2)" else named_matrix(name)
+    extend = principal_extension if coeffs == "principal" else trivial_extension
+    seed = initial_geometric_seed(extend(B))
+    ref = reference_exchange_graph(seed, cap=cap)
+    g = graph_from_spec(B, coeffs=coeffs, cap=cap)
+    for field in ("vertices", "edges", "finite", "keys", "cluster_variables"):
+        assert g[field] == ref[field], field
+    assert g["finite"] == (cap == 10 ** 5)
+    assert sorted(g["seeds"]) == sorted(ref["seeds"])
+    for v, s in ref["seeds"].items():
+        assert _seed_texts(g["seeds"][v]) == _seed_texts(s)
+
+
+@pytest.mark.parametrize("name,edges", [("A3", 21), ("D4", 100)])
+@pytest.mark.parametrize("coeffs", ["principal", "trivial"])
+def test_each_edge_is_mutated_once(monkeypatch, name, edges, coeffs):
+    calls = []
+
+    def counting(seed, k):
+        calls.append(k)
+        return mutate_seed_geometric(seed, k)
+
+    monkeypatch.setattr(exchange_graph, "mutate_seed_geometric", counting)
+    g = graph_from_spec(named_matrix(name), coeffs=coeffs)
+    assert g["finite"] and len(g["edges"]) == edges
+    assert len(calls) == edges
+
+
+def _relabel(seed, pi):
+    """The seed whose index i carries the data of index pi[i] of seed."""
+    n, Bt = seed.n, seed.Btilde
+    rows = [
+        [Bt[pi[i] if i < n else i][pi[j]] for j in range(n)]
+        for i in range(len(Bt))
+    ]
+    return LabeledSeedGeometric(
+        [seed.x[p] for p in pi], rows, n, seed.vars
+    )
+
+
+@given(
+    st.sampled_from(["A3", "B3", "D4"]),
+    st.lists(st.integers(1, 4), max_size=8),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_canonical_form_is_invariant_under_relabeling(name, path, rnd):
+    seed = initial_geometric_seed(principal_extension(named_matrix(name)))
+    n = seed.n
+    for k in path:
+        seed = mutate_seed_geometric(seed, (k - 1) % n + 1)
+    pi = list(range(n))
+    rnd.shuffle(pi)
+    relabeled = _relabel(seed, pi)
+    assert seed_canonical_form(relabeled) == seed_canonical_form(seed)
+    # sigma maps the seed to the serialization its key is made of
+    texts = tuple(lp_canonical_text(x) for x in seed.x)
+    key, sigma = _canonical(texts, seed.Btilde, n)
+    assert key == seed_canonical_form(seed)
+    Bt, m = seed.Btilde, len(seed.Btilde)
+    serialization = (
+        tuple(texts[s] for s in sigma),
+        tuple(tuple(Bt[i][s] for i in range(n, m)) for s in sigma),
+        tuple(
+            tuple(Bt[sigma[i] if i < n else i][s] for s in sigma)
+            for i in range(m)
+        ),
+    )
+    assert key == repr(serialization).encode()

@@ -11,6 +11,7 @@ from clusteralg.mutation import (
     CARTAN,
     InvalidDirection,
     LabeledYSeed,
+    MalformedMatrix,
     NotSkewSymmetrizable,
     bipartite_matrix_from_cartan,
     bipartite_sign_from_cartan,
@@ -99,6 +100,20 @@ def test_matrix_json_round_trip():
     B = named_matrix("A2")
     back, n = matrix_from_json(matrix_to_json(B))
     assert back == B and n == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"B": [[0, 1], [-1]]},
+        {"B": []},
+        {"B": [[]]},
+        {"Btilde": [[0, 1], [-1, 0], [1]], "n": 2},
+    ],
+)
+def test_ragged_or_empty_matrices_are_rejected(data):
+    with pytest.raises(MalformedMatrix):
+        matrix_from_json(json.dumps(data))
 
 
 @given(st.lists(st.integers(1, 2), min_size=1, max_size=4))
