@@ -8,12 +8,11 @@ from .laurent import (
     lp_canonical_text,
 )
 from .mutation import (
-    bipartite_matrix_from_cartan,
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     matrix,
 )
-from .principal import CrossCheckFailure, PrincipalPattern, _pos
+from .principal import CrossCheckFailure, PrincipalPattern, _pos, seed_signature
 
 
 class NotBipartite(ValueError):
@@ -230,8 +229,7 @@ class Belt:
         return self.pattern.state(self.path(m))
 
     def seed_key(self, m):
-        st = self.state(m)
-        return (st["Btilde"], tuple(lp_canonical_text(x) for x in st["X"]))
+        return seed_signature(self.state(m))
 
     def x_im(self, i, m):
         """Cluster variable x_{i;m}; requires eps(i) = (-1)^m."""

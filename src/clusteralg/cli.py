@@ -12,7 +12,7 @@ from .laurent import LaurentPolynomial, lp_canonical_text, lp_substitute_monomia
 from .mutation import (
     InvalidDirection,
     MalformedMatrix,
-    bipartite_matrix_from_cartan,
+    NotSkewSymmetrizable,
     matrix,
     matrix_from_json,
     matrix_to_json,
@@ -478,7 +478,7 @@ def run():
     except click.UsageError as exc:
         click.echo("usage error: %s" % exc.format_message(), err=True)
         sys.exit(2)
-    except (InvalidDirection, MalformedMatrix) as exc:
+    except (InvalidDirection, MalformedMatrix, NotSkewSymmetrizable) as exc:
         click.echo("usage error: %s" % exc, err=True)
         sys.exit(2)
     except click.exceptions.Abort:

@@ -199,6 +199,8 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k == 1:
+            return self  # immutable, so no copy is needed
         if k < 0:
             if not self.is_monomial():
                 raise NonExactDivision("negative power of a non-monomial")

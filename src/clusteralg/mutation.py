@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial, RationalExpression, lp_exact_div
+from .laurent import LaurentPolynomial, lp_exact_div
 from .semifield import TropicalSemifield
 
 
@@ -449,9 +449,34 @@ def matrix_to_json(M, n=None):
 
 
 def matrix_from_json(text):
-    data = json.loads(text)
-    if "B" in data:
-        M = matrix(data["B"])
-        return M, len(M)
-    M = matrix(data["Btilde"])
-    return M, int(data["n"])
+    """(M, n) from {"B": rows} or {"Btilde": rows, "n": n}.
+
+    Raises MalformedMatrix unless the JSON is an object holding a list of
+    lists of integers with n columns, 1 <= n <= rows (n = rows for "B"),
+    and NotSkewSymmetrizable unless the top n x n block is an exchange
+    matrix.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise MalformedMatrix("matrix file is not JSON: %s" % exc) from None
+    if not isinstance(data, dict) or ("B" in data) == ("Btilde" in data):
+        raise MalformedMatrix('matrix file must be a JSON object with "B" or "Btilde"')
+    rows = data.get("B", data.get("Btilde"))
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
+    ):
+        raise MalformedMatrix("matrix must be a list of lists of integers")
+    M = matrix(rows)
+    m, n = len(M), len(M[0])
+    if "B" in data and m != n:
+        raise MalformedMatrix("B must be square, not %dx%d" % (m, n))
+    if "Btilde" in data:
+        k = data.get("n")
+        if type(k) is not int or k != n or k > m:
+            raise MalformedMatrix(
+                '"n" must be an integer equal to the column count %d and at '
+                "most the row count %d, not %r" % (n, m, k)
+            )
+    skew_symmetrizer(principal_part(M, n))
+    return M, n

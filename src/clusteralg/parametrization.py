@@ -6,8 +6,12 @@ from fractions import Fraction
 
 from .laurent import lp_denominator_vector
 from .mutation import matrix, mutate_matrix
-from .principal import CrossCheckFailure, PrincipalPattern, _pos
-from .semifield import TropicalSemifield, trop_eval_positive_poly
+from .principal import (
+    CrossCheckFailure,
+    PrincipalPattern,
+    _d_g_assignments,
+    _d_g_relation,
+)
 
 
 class RankDeficient(ValueError):
@@ -167,27 +171,7 @@ def monomial_vectors(B0, path, a, pattern=None):
 def d_g_relation_check(B0, path, ell, pattern=None):
     """Exact d+g tropical-F identity plus the conjectural pure-d form."""
     pat = pattern if pattern is not None else PrincipalPattern(B0)
-    n = pat.n
-    B0 = pat.B0
-    st = pat.state(path)
-    F = st["F"][ell - 1]
-    g = st["g"][ell - 1]
-    d = lp_denominator_vector(st["X"][ell - 1], n)
-    S = TropicalSemifield(tuple("u%d" % (i + 1) for i in range(n)))
-    assign = {
-        pat.yvars[j]: S.monomial(tuple(B0[i][j] for i in range(n)))
-        for j in range(n)
-    }
-    exact = trop_eval_positive_poly(F, assign).exps == tuple(
-        -d[i] - g[i] for i in range(n)
+    exact, conjectural = _d_g_relation(
+        pat, pat.state(path), ell - 1, _d_g_assignments(pat)
     )
-    conjectural = None
-    if not st["X"][ell - 1].is_monomial():
-        inv = {
-            pat.yvars[j]: S.monomial(tuple(-1 if i == j else 0 for i in range(n)))
-            for j in range(n)
-        }
-        conjectural = trop_eval_positive_poly(F, inv).exps == tuple(
-            -d[i] for i in range(n)
-        )
     return {"exact_d_plus_g": exact, "conjectural_d": conjectural}

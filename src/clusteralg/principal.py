@@ -24,7 +24,6 @@ from .mutation import (
     mutate_matrix,
     mutate_y,
     principal_extension,
-    principal_part,
     skew_symmetrizer,
 )
 from .semifield import (
@@ -32,6 +31,7 @@ from .semifield import (
     TropicalSemifield,
     UniversalSemifield,
     sf_eval_poly,
+    trop_eval_exps,
     trop_eval_positive_poly,
 )
 
@@ -56,16 +56,18 @@ class PrincipalPattern:
         self.yvars = tuple("y%d" % (j + 1) for j in range(n))
         self.vars = self.xvars + self.yvars
         Bt0 = principal_extension(self.B0)
-        X0 = []
-        for ell in range(n):
-            e = [0] * (2 * n)
-            e[ell] = 1
-            X0.append(LaurentPolynomial.monomial(self.vars, e))
-        F0 = tuple(LaurentPolynomial.const(self.yvars, 1) for _ in range(n))
+        # constants of every step: 1 and the y_j, in x,y and in y alone
+        self._one = LaurentPolynomial.const(self.vars, 1)
+        self._frozen = tuple(LaurentPolynomial.var(self.vars, v) for v in self.yvars)
+        self._one_y = LaurentPolynomial.const(self.yvars, 1)
+        self._y = tuple(LaurentPolynomial.var(self.yvars, v) for v in self.yvars)
+        # x_i -> 1, y_j -> y_j: the specialization X -> F
+        self._spec = dict.fromkeys(self.xvars, self._one_y)
+        self._spec.update(zip(self.yvars, self._y))
+        X0 = tuple(LaurentPolynomial.var(self.vars, v) for v in self.xvars)
+        F0 = (self._one_y,) * n
         g0 = tuple(tuple(1 if i == ell else 0 for i in range(n)) for ell in range(n))
-        self._states = {
-            (): {"Btilde": Bt0, "X": tuple(X0), "F": F0, "g": g0}
-        }
+        self._states = {(): {"Btilde": Bt0, "X": X0, "F": F0, "g": g0}}
         self._b0cols = [tuple(self.B0[i][j] for i in range(n)) for j in range(n)]
 
     # -- walking ------------------------------------------------------
@@ -84,18 +86,12 @@ class PrincipalPattern:
         Bt = st["Btilde"]
         Bt2 = mutate_matrix(Bt, k)
         # geometric exchange for X
-        plus = LaurentPolynomial.const(self.vars, 1)
-        minus = LaurentPolynomial.const(self.vars, 1)
+        plus = minus = self._one
         for i in range(2 * n):
             b = Bt[i][kk]
             if b == 0:
                 continue
-            if i < n:
-                v = st["X"][i]
-            else:
-                e = [0] * (2 * n)
-                e[i] = 1
-                v = LaurentPolynomial.monomial(self.vars, e)
+            v = st["X"][i] if i < n else self._frozen[i - n]
             if b > 0:
                 plus = plus * v ** b
             else:
@@ -106,15 +102,13 @@ class PrincipalPattern:
 
         # F-polynomial: by specialization and independently by recurrence
         Fk_spec = self._specialize(Xk)
-        Fp = LaurentPolynomial.const(self.yvars, 1)
-        Fm = LaurentPolynomial.const(self.yvars, 1)
+        Fp = Fm = self._one_y
         for j in range(n):
             c = Bt[n + j][kk]
-            yj = LaurentPolynomial.var(self.yvars, self.yvars[j])
             if c > 0:
-                Fp = Fp * yj ** c
+                Fp = Fp * self._y[j] ** c
             elif c < 0:
-                Fm = Fm * yj ** (-c)
+                Fm = Fm * self._y[j] ** (-c)
         for i in range(n):
             b = Bt[i][kk]
             if b > 0:
@@ -178,12 +172,7 @@ class PrincipalPattern:
         return {"Btilde": Bt2, "X": tuple(X), "F": tuple(F), "g": tuple(g2)}
 
     def _specialize(self, X):
-        sub = {}
-        for v in self.xvars:
-            sub[v] = LaurentPolynomial.const(self.yvars, 1)
-        for v in self.yvars:
-            sub[v] = LaurentPolynomial.var(self.yvars, v)
-        return lp_substitute_monomial(X, sub)
+        return lp_substitute_monomial(X, self._spec)
 
     def _multidegree(self, X):
         n = self.n
@@ -373,11 +362,16 @@ def _eval_poly_field(p, values, variables=None):
 
 def tropical_one_var_eval(F, special_index, exps):
     """u^h = F|_Trop(u)(u^{e_1}, ..., u^{-1} at the special slot, ...)."""
-    S = TropicalSemifield(("u",))
-    assign = {}
-    for j, name in enumerate(F.vars):
-        assign[name] = S.monomial((-1,) if j == special_index else (exps[j],))
-    return trop_eval_positive_poly(F, assign).exps[0]
+    weights = list(exps)
+    weights[special_index] = -1
+    return trop_eval_exps(F, [weights])[0]
+
+
+def _pattern(patterns, M):
+    """The pattern of M in the cache `patterns` (matrix -> pattern)."""
+    if M not in patterns:
+        patterns[M] = PrincipalPattern(M)
+    return patterns[M]
 
 
 def g_transition(B0, k, path, ell, patterns=None, return_h=False):
@@ -387,28 +381,32 @@ def g_transition(B0, k, path, ell, patterns=None, return_h=False):
     transition identity through h'_k, and the h/g quotient formula.
     """
     B0 = matrix(B0)
-    n = len(B0)
     patterns = patterns if patterns is not None else {}
-    if B0 not in patterns:
-        patterns[B0] = PrincipalPattern(B0)
-    pat0 = patterns[B0]
-    B1 = mutate_matrix(B0, k)
-    if B1 not in patterns:
-        patterns[B1] = PrincipalPattern(B1)
-    pat1 = patterns[B1]
+    pat0 = _pattern(patterns, B0)
+    pat1 = _pattern(patterns, mutate_matrix(B0, k))
+    gp, hk, hpk = _g_transition(pat0, pat1, k, path, ell)
+    if return_h:
+        return gp, hk, hpk
+    return gp
+
+
+def _g_transition(pat0, pat1, k, path, ell):
+    """g_transition on the patterns of B0 and mu_k(B0); returns (g', h_k, h'_k)."""
+    B0 = pat0.B0
+    n = pat0.n
     path = tuple(path)
     path1 = path[1:] if path[:1] == (k,) else (k,) + path
-    g = pat0.g_value(path, ell)
-    gp = pat1.g_value(path1, ell)
-    F0 = pat0.f_value(path, ell)
-    F1 = pat1.f_value(path1, ell)
+    st0 = pat0.state(path)
+    st1 = pat1.state(path1)
+    g = st0["g"][ell - 1]
+    gp = st1["g"][ell - 1]
     kk = k - 1
     # h'_k from F wrt (B1; t1), h_k from F wrt (B0; t0)
     hpk = tropical_one_var_eval(
-        F1, kk, [_pos(B0[kk][j]) for j in range(n)]
+        st1["F"][ell - 1], kk, [_pos(B0[kk][j]) for j in range(n)]
     )
     hk = tropical_one_var_eval(
-        F0, kk, [_pos(-B0[kk][j]) for j in range(n)]
+        st0["F"][ell - 1], kk, [_pos(-B0[kk][j]) for j in range(n)]
     )
     if g[kk] != -gp[kk]:
         raise CrossCheckFailure("g-transition fails in the mutated direction")
@@ -420,15 +418,47 @@ def g_transition(B0, k, path, ell, patterns=None, return_h=False):
             raise CrossCheckFailure("g-transition identity fails at i=%d" % (i + 1))
     if g[kk] != hk - hpk:
         raise CrossCheckFailure("g_k != h_k - h'_k")
-    if return_h:
-        return gp, hk, hpk
-    return gp
+    return gp, hk, hpk
+
+
+def _d_g_assignments(pat):
+    """Images of the y_j in Trop(u_1..u_n): u^{b_j} (column j of B0) for the
+    d+g identity, and u_j^{-1} for the pure-d form."""
+    n = pat.n
+    S = TropicalSemifield(tuple("u%d" % (i + 1) for i in range(n)))
+    d_plus_g = {y: S.monomial(col) for y, col in zip(pat.yvars, pat._b0cols)}
+    pure_d = {
+        y: S.monomial(tuple(-1 if i == j else 0 for i in range(n)))
+        for j, y in enumerate(pat.yvars)
+    }
+    return d_plus_g, pure_d
+
+
+def _d_g_relation(pat, st, ell, assignments):
+    """(exact d+g tropical-F identity, conjectural pure-d form) at cluster
+    variable ell (0-based) of state st; the second is None for a monomial."""
+    n = pat.n
+    d_plus_g, pure_d = assignments
+    X = st["X"][ell]
+    F = st["F"][ell]
+    g = st["g"][ell]
+    d = lp_denominator_vector(X, n)
+    exact = trop_eval_positive_poly(F, d_plus_g).exps == tuple(
+        -d[i] - g[i] for i in range(n)
+    )
+    conjectural = None
+    if not X.is_monomial():
+        conjectural = trop_eval_positive_poly(F, pure_d).exps == tuple(
+            -d[i] for i in range(n)
+        )
+    return exact, conjectural
 
 
 # -- conjecture audit ------------------------------------------------------
 
 
-def _seed_signature(st):
+def seed_signature(st):
+    """A labeled seed up to equality: its extended matrix and cluster texts."""
     return (
         st["Btilde"],
         tuple(lp_canonical_text(x) for x in st["X"]),
@@ -436,12 +466,19 @@ def _seed_signature(st):
 
 
 def enumerate_pattern(B0, max_seeds=500, max_depth=None):
-    """BFS over labeled principal seeds; returns {signature: path}."""
+    """BFS over labeled principal seeds; returns {signature: path}.
+
+    Mutation is an involution: when mu_k of the seed at `path` is the seen
+    seed at q, mu_k of the seed at q is the seed at `path`.  Direction k of
+    q is then marked in back[q] and never computed, so each labeled edge is
+    computed once.
+    """
     pat = PrincipalPattern(B0)
     n = pat.n
     seen = {}
+    back = {(): set()}
     frontier = [()]
-    seen[_seed_signature(pat.state(()))] = ()
+    seen[seed_signature(pat.state(()))] = ()
     complete = True
     while frontier:
         nxt = []
@@ -450,16 +487,20 @@ def enumerate_pattern(B0, max_seeds=500, max_depth=None):
                 complete = False
                 continue
             for k in range(1, n + 1):
-                if path and path[-1] == k:
+                if k in back[path]:
                     continue
                 p2 = path + (k,)
-                sig = _seed_signature(pat.state(p2))
-                if sig not in seen:
-                    if len(seen) >= max_seeds:
-                        complete = False
-                        continue
-                    seen[sig] = p2
-                    nxt.append(p2)
+                sig = seed_signature(pat.state(p2))
+                q = seen.get(sig)
+                if q is not None:
+                    back[q].add(k)
+                    continue
+                if len(seen) >= max_seeds:
+                    complete = False
+                    continue
+                seen[sig] = p2
+                back[p2] = {k}
+                nxt.append(p2)
         frontier = nxt
     return pat, seen, complete
 
@@ -500,16 +541,22 @@ def conjecture_suite(
         if not ok:
             entry["violations"].append(detail)
 
+    # built once per suite: the patterns of -B0 and of each mu_k(B0), the
+    # tropical assignments, and the substitution y_j -> y_j^{-1}
     patterns = {B0: pat}
-    negpat = None
+    negpat = _pattern(patterns, matrix([[-v for v in row] for row in B0]))
+    mutated = [_pattern(patterns, mutate_matrix(B0, k)) for k in range(1, n + 1)]
+    assignments = _d_g_assignments(pat)
+    inv_sub = {v: LaurentPolynomial.var(pat.yvars, v, -1) for v in pat.yvars}
     for sig, path in seen.items():
         st = pat.state(path)
+        at = "path=%s" % (list(path),)
         cvecs = [
             tuple(st["Btilde"][n + j][ell] for j in range(n)) for ell in range(n)
         ]
         for ell in range(n):
             F = st["F"][ell]
-            where = "path=%s ell=%d" % (list(path), ell + 1)
+            where = "%s ell=%d" % (at, ell + 1)
             record("f_constant_term_1", F.constant_term() == 1, where)
             record(
                 "f_positive_coefficients",
@@ -535,27 +582,10 @@ def conjecture_suite(
                 where,
             )
             # d+g through tropical F (exact statement) and d through F (conjecture)
-            d = lp_denominator_vector(st["X"][ell], n)
-            g = st["g"][ell]
-            S = TropicalSemifield(tuple("u%d" % (i + 1) for i in range(n)))
-            assign = {
-                pat.yvars[j]: S.monomial(tuple(B0[i][j] for i in range(n)))
-                for j in range(n)
-            }
-            tv = trop_eval_positive_poly(F, assign)
-            record(
-                "d_plus_g_through_F",
-                tv.exps == tuple(-d[i] - g[i] for i in range(n)),
-                where,
-            )
-            if not st["X"][ell].is_monomial():
-                inv = {pat.yvars[j]: S.monomial(tuple(-1 if i == j else 0 for i in range(n))) for j in range(n)}
-                tv2 = trop_eval_positive_poly(F, inv)
-                record(
-                    "d_through_F",
-                    tv2.exps == tuple(-d[i] for i in range(n)),
-                    where,
-                )
+            exact, conjectural = _d_g_relation(pat, st, ell, assignments)
+            record("d_plus_g_through_F", exact, where)
+            if conjectural is not None:
+                record("d_through_F", conjectural, where)
         # g-vector sign coherence across the cluster, per coordinate
         gs = st["g"]
         ok = all(
@@ -563,48 +593,42 @@ def conjecture_suite(
             or all(gs[ell][i] <= 0 for ell in range(n))
             for i in range(n)
         )
-        record("g_vectors_sign_coherent", ok, "path=%s" % (list(path),))
+        record("g_vectors_sign_coherent", ok, at)
         # F under B vs -B
-        if negpat is None:
-            negB = matrix([[-v for v in row] for row in B0])
-            negpat = PrincipalPattern(negB)
-            patterns[negB] = negpat
         stn = negpat.state(path)
         for ell in range(n):
             F = st["F"][ell]
             Fn = stn["F"][ell]
-            inv_sub = {
-                v: LaurentPolynomial.var(pat.yvars, v, -1) for v in pat.yvars
-            }
             Fn_inv = lp_substitute_monomial(Fn, inv_sub)
             shift = Fn_inv.min_exponents()
             normalized = Fn_inv.shift(tuple(-a for a in shift))
             record(
                 "f_B_vs_negB",
                 F == normalized,
-                "path=%s ell=%d" % (list(path), ell + 1),
+                "%s ell=%d" % (at, ell + 1),
             )
         # transition rules at every direction k
         if transition_checks:
             for k in range(1, n + 1):
                 for ell in range(1, n + 1):
-                    g = pat.g_value(path, ell)
+                    g = st["g"][ell - 1]
+                    where = "%s k=%d ell=%d" % (at, k, ell)
                     try:
-                        gp, hk, hpk = g_transition(
-                            B0, k, path, ell, patterns, return_h=True
+                        gp, hk, hpk = _g_transition(
+                            pat, mutated[k - 1], k, path, ell
                         )
                     except CrossCheckFailure as exc:
                         record(
                             "h_and_g_transition_exact",
                             False,
-                            "path=%s k=%d ell=%d: %s" % (list(path), k, ell, exc),
+                            "%s: %s" % (where, exc),
                         )
                         continue
                     record("h_and_g_transition_exact", True, "")
                     record(
                         "h_equals_min_0_g",
                         hpk == -_pos(g[k - 1]) and hk == min(0, g[k - 1]),
-                        "path=%s k=%d ell=%d" % (list(path), k, ell),
+                        where,
                     )
                     # conjectured closed form h'_k = -[g_k]+ via the dual rule
                     kk = k - 1
@@ -621,7 +645,7 @@ def conjecture_suite(
                     record(
                         "g_transition_rule",
                         tuple(pred) == tuple(gp),
-                        "path=%s k=%d ell=%d" % (list(path), k, ell),
+                        where,
                     )
     report = sorted(checks.values(), key=lambda e: e["name"])
     return {"complete": complete, "seeds": len(seen), "checks": report}

@@ -8,6 +8,7 @@ expression trees evaluate uniformly in any instance.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .laurent import LaurentPolynomial, RationalExpression
 
@@ -280,24 +281,40 @@ def sf_eval_poly(F, assign, S):
     return acc
 
 
+def trop_eval_exps(F, rows):
+    """Exponents of F in a tropical semifield, from integer weights.
+
+    Entry r is the min, over the exponent vectors e of F's terms, of
+    sum_j e_j * rows[r][j]: the exponent of u_r when variable j is sent to
+    the monomial whose u_r-exponent is rows[r][j].  Every coefficient must
+    be > 0.
+    """
+    for c in F.terms.values():
+        if c <= 0:
+            raise NonPositiveCoefficient("coefficient %d is not positive" % c)
+    if not F.terms:
+        raise ValueError("tropical evaluation of zero polynomial")
+    return [min(sum(map(mul, e, row)) for e in F.terms) for row in rows]
+
+
 def trop_eval_positive_poly(F, assign):
-    """Tropical evaluation: oplus over term images; coefficients must be > 0."""
+    """Tropical evaluation: oplus over term images; coefficients must be > 0.
+
+    Every variable that occurs in F needs an image over the same generators
+    as the first image in `assign`.
+    """
     try:
         gens = next(iter(assign.values())).gens
     except StopIteration:
         raise ValueError("empty assignment") from None
-    identity = TropicalMonomial(gens, (0,) * len(gens))
-    out = None
-    for e, c in F.terms.items():
-        if c <= 0:
-            raise NonPositiveCoefficient(
-                "coefficient %d is not positive" % c
-            )
-        img = identity
-        for name, a in zip(F.vars, e):
-            if a:
-                img = img * (assign[name] ** a)
-        out = img if out is None else out.oplus(img)
-    if out is None:
-        raise ValueError("tropical evaluation of zero polynomial")
-    return out
+    cols = []
+    for name, occurs in zip(F.vars, map(any, zip(*F.terms))):
+        if not occurs:
+            cols.append((0,) * len(gens))
+            continue
+        v = assign[name]
+        if v.gens != gens:
+            raise GeneratorMismatch("mismatched generators: %r vs %r" % (gens, v.gens))
+        cols.append(v.exps)
+    rows = [tuple(col[r] for col in cols) for r in range(len(gens))]
+    return TropicalMonomial(gens, trop_eval_exps(F, rows))

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from clusteralg import cli
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -148,3 +150,31 @@ def test_mutate_ragged_or_empty_matrix_is_a_usage_error(tmp_path, rows):
     _assert_one_line_usage_error(
         run_cli("mutate", "--matrix", str(src), "--path", "1", check=False)
     )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"B": [[0, 1], [1, 0]]},  # equal signs: not skew-symmetrizable
+        {"B": [[0, 1]]},  # not square
+        {"Btilde": [[0, 1], [-1, 0]], "n": 3},  # n above the row count
+        {"B": 5},  # not a list of lists
+        {"Btilde": [[0, 1], [-1, 0]]},  # no n
+        {"B": [[0, 1.5], [-1, 0]]},  # not integers
+    ],
+    ids=["equal-signs", "not-square", "n-above-rows", "not-a-list", "no-n", "not-integers"],
+)
+def test_mutate_input_that_is_not_an_exchange_matrix_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, data
+):
+    # in process, through the same exit-code mapping as the console script
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps(data))
+    monkeypatch.setattr(sys, "argv", ["cluster", "mutate", "--matrix", str(src), "--path", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("usage error: ")

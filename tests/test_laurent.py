@@ -250,3 +250,14 @@ def test_simplify_uses_factor_hints():
     r = RationalExpression(h * h * y, h * x, factor_hints=(h,))
     s = r.simplify()
     assert s.num == h * y and s.den == x
+
+
+@given(polys)
+@settings(max_examples=50)
+def test_first_power_is_the_polynomial_itself(p):
+    # immutable, so p ** 1 need not copy; other powers are repeated products
+    assert p ** 1 is p
+    acc = LaurentPolynomial.const(VARS, 1)
+    for k in range(5):
+        assert p ** k == acc
+        acc = acc * p

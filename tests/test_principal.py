@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusteralg.laurent import (
+    LaurentPolynomial,
     RationalExpression,
     lp_canonical_text,
     lp_parse,
@@ -15,12 +18,14 @@ from clusteralg.principal import (
     conjecture_suite,
     enumerate_pattern,
     g_transition,
+    seed_signature,
     separation_evaluate,
     tropical_one_var_eval,
     y_factored,
 )
 from clusteralg.semifield import (
     PositiveRationalSemifield,
+    TropicalMonomial,
     TropicalSemifield,
     UniversalSemifield,
 )
@@ -135,6 +140,45 @@ def test_tropical_one_var_eval():
     assert tropical_one_var_eval(F, 1, (0, -1)) == -1
 
 
+def _trop_eval_objects(F, assign):
+    """Tropical evaluation by its definition: the oplus of the term images,
+    each a product of TropicalMonomial powers."""
+    gens = next(iter(assign.values())).gens
+    out = None
+    for e in F.terms:
+        img = TropicalMonomial(gens, (0,) * len(gens))
+        for name, a in zip(F.vars, e):
+            if a:
+                img = img * (assign[name] ** a)
+        out = img if out is None else out.oplus(img)
+    return out
+
+
+@st.composite
+def one_var_inputs(draw):
+    n = draw(st.integers(1, 4))
+    yvars = tuple("y%d" % (j + 1) for j in range(n))
+    exponent = st.integers(-5, 5)
+    terms = draw(
+        st.dictionaries(st.tuples(*[exponent] * n), st.integers(1, 9), min_size=1, max_size=6)
+    )
+    special = draw(st.integers(0, n - 1))
+    exps = draw(st.tuples(*[exponent] * n))
+    return LaurentPolynomial(yvars, terms), special, exps
+
+
+@given(one_var_inputs())
+@settings(max_examples=50)
+def test_tropical_one_var_eval_matches_the_object_definition(inputs):
+    F, special, exps = inputs
+    S = TropicalSemifield(("u",))
+    assign = {
+        name: S.monomial((-1,) if j == special else (exps[j],))
+        for j, name in enumerate(F.vars)
+    }
+    assert tropical_one_var_eval(F, special, exps) == _trop_eval_objects(F, assign).exps[0]
+
+
 def test_g_transition_consistency():
     # built-in cross-check: recomputing g in the mutated pattern must
     # match the piecewise-linear transition rule
@@ -153,6 +197,92 @@ def test_g_transition_h_vectors():
 def test_enumerate_pattern_a2_has_ten_seeds():
     pat, seen, complete = enumerate_pattern(A2)
     assert complete and len(seen) == 10
+
+
+def _enumerate_both_directions(B0, max_seeds=500, max_depth=None):
+    """Reference BFS: mutates every seed in every direction except the one
+    that reached it, so each labeled edge is computed from both ends."""
+    pat = PrincipalPattern(B0)
+    seen = {seed_signature(pat.state(())): ()}
+    frontier = [()]
+    complete = True
+    while frontier:
+        nxt = []
+        for path in frontier:
+            if max_depth is not None and len(path) >= max_depth:
+                complete = False
+                continue
+            for k in range(1, pat.n + 1):
+                if path and path[-1] == k:
+                    continue
+                p2 = path + (k,)
+                sig = seed_signature(pat.state(p2))
+                if sig not in seen:
+                    if len(seen) >= max_seeds:
+                        complete = False
+                        continue
+                    seen[sig] = p2
+                    nxt.append(p2)
+        frontier = nxt
+    return seen, complete
+
+
+BFS_CASES = [(name, {}) for name in ("A2", "A3", "B2", "B3", "C3", "G2", "A1xA1")]
+BFS_CASES += [("rank2(1,3)", {}), ("A3", {"max_seeds": 20}), ("B3", {"max_seeds": 20})]
+BFS_CASES += [("A3", {"max_depth": 3}), ("B3", {"max_depth": 3})]
+
+
+def _matrix(name):
+    return rank2_matrix(1, 3) if name == "rank2(1,3)" else named_matrix(name)
+
+
+@pytest.mark.parametrize("name, caps", BFS_CASES)
+def test_edge_once_enumeration_matches_both_directions(name, caps):
+    _, seen, complete = enumerate_pattern(_matrix(name), **caps)
+    ref_seen, ref_complete = _enumerate_both_directions(_matrix(name), **caps)
+    assert list(seen.items()) == list(ref_seen.items())
+    assert complete == ref_complete
+
+
+@pytest.mark.parametrize("name, steps", [("A2", 10), ("A3", 126), ("B3", 60)])
+def test_edge_once_enumeration_computes_each_labeled_edge_once(monkeypatch, name, steps):
+    calls = []
+    step = PrincipalPattern._step
+
+    def counting_step(self, state, k):
+        calls.append(k)
+        return step(self, state, k)
+
+    monkeypatch.setattr(PrincipalPattern, "_step", counting_step)
+    pat, seen, complete = enumerate_pattern(named_matrix(name))
+    assert complete
+    assert len(calls) == pat.n * len(seen) // 2 == steps
+
+
+SUITE_INSTANCES = {
+    # (seeds, per-check instance counts), as before the edge-once BFS
+    "A3": (84, {"c_vector_sign_coherent": 252, "d_plus_g_through_F": 252,
+                "d_through_F": 168, "f_B_vs_negB": 252, "f_constant_term_1": 252,
+                "f_positive_coefficients": 252, "f_unique_dominating_monomial": 252,
+                "g_transition_rule": 756, "g_vectors_sign_coherent": 84,
+                "h_and_g_transition_exact": 756, "h_equals_min_0_g": 756,
+                "three_equivalences_consistent": 252}),
+    "B3": (40, {"c_vector_sign_coherent": 120, "d_plus_g_through_F": 120,
+                "d_through_F": 90, "f_B_vs_negB": 120, "f_constant_term_1": 120,
+                "f_positive_coefficients": 120, "f_unique_dominating_monomial": 120,
+                "g_transition_rule": 360, "g_vectors_sign_coherent": 40,
+                "h_and_g_transition_exact": 360, "h_equals_min_0_g": 360,
+                "three_equivalences_consistent": 120}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_INSTANCES))
+def test_conjecture_suite_instance_counts(name):
+    seeds, instances = SUITE_INSTANCES[name]
+    report = conjecture_suite(named_matrix(name))
+    assert report["complete"] and report["seeds"] == seeds
+    assert {c["name"]: c["instances"] for c in report["checks"]} == instances
+    assert all(c["violations"] == [] for c in report["checks"])
 
 
 def test_conjecture_suite_a2_clean():

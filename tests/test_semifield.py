@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusteralg.laurent import LaurentPolynomial, lp_parse
 from clusteralg.semifield import (
+    GeneratorMismatch,
+    NonPositiveCoefficient,
     PositiveRationalSemifield,
     Semifield,
     TrivialSemifield,
@@ -107,3 +109,45 @@ def test_trop_eval_positive_poly_agrees_with_sf_eval_poly():
     S = TropicalSemifield(("u1", "u2"))
     assign = {"y1": S.monomial((1, -2)), "y2": S.monomial((0, 3))}
     assert trop_eval_positive_poly(F, assign) == sf_eval_poly(F, assign, S)
+
+
+@st.composite
+def trop_eval_inputs(draw):
+    """A Laurent polynomial with positive coefficients in 1-4 variables and
+    an assignment of its variables in Trop of 1-3 generators."""
+    nvars = draw(st.integers(1, 4))
+    ngens = draw(st.integers(1, 3))
+    exponent = st.integers(-5, 5)
+    yvars = tuple("y%d" % (j + 1) for j in range(nvars))
+    S = TropicalSemifield(tuple("u%d" % (i + 1) for i in range(ngens)))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[exponent] * nvars), st.integers(1, 9), min_size=1, max_size=6
+        )
+    )
+    assign = {v: S.monomial(draw(st.tuples(*[exponent] * ngens))) for v in yvars}
+    return LaurentPolynomial(yvars, terms), assign, S
+
+
+@given(trop_eval_inputs())
+@settings(max_examples=50)
+def test_integer_tropical_evaluation_matches_semifield_evaluation(inputs):
+    F, assign, S = inputs
+    assert trop_eval_positive_poly(F, assign) == sf_eval_poly(F, assign, S)
+
+
+def test_trop_eval_positive_poly_errors():
+    yvars = ("y1", "y2")
+    S = TropicalSemifield(("u1",))
+    assign = {"y1": S.monomial((1,)), "y2": S.monomial((-2,))}
+    with pytest.raises(NonPositiveCoefficient):
+        trop_eval_positive_poly(lp_parse("y1 - y2 + 1", yvars), assign)
+    other = {"y1": S.monomial((1,)), "y2": TropicalSemifield(("v1",)).monomial((1,))}
+    with pytest.raises(GeneratorMismatch):
+        trop_eval_positive_poly(lp_parse("y1*y2 + 1", yvars), other)
+    # a variable that does not occur needs no image over the same generators
+    assert trop_eval_positive_poly(lp_parse("y1 + 1", yvars), other) == S.one()
+    with pytest.raises(ValueError, match="empty assignment"):
+        trop_eval_positive_poly(lp_parse("y1 + 1", yvars), {})
+    with pytest.raises(ValueError, match="zero polynomial"):
+        trop_eval_positive_poly(LaurentPolynomial.zero(yvars), assign)
