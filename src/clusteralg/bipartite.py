@@ -11,6 +11,7 @@ from .mutation import (
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     matrix,
+    tree_symmetrizer,
 )
 from .principal import CrossCheckFailure, PrincipalPattern, _pos, seed_signature
 
@@ -139,38 +140,10 @@ def _pd_check(A, d):
 
 def cartan_symmetrizer(A):
     """Minimal positive integers d with d_i a_ij = d_j a_ji."""
-    from fractions import Fraction
-    import math
-
-    n = len(A)
-    d = [None] * n
-    for root in range(n):
-        if d[root] is not None:
-            continue
-        d[root] = Fraction(1)
-        stack = [root]
-        comp = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and A[i][j]:
-                    w = d[i] * Fraction(A[i][j], A[j][i])
-                    if d[j] is None:
-                        d[j] = w
-                        comp.append(j)
-                        stack.append(j)
-                    elif d[j] != w:
-                        raise ValueError("Cartan matrix is not symmetrizable")
-        lcm = 1
-        for i in comp:
-            lcm = lcm * d[i].denominator // math.gcd(lcm, d[i].denominator)
-        vals = [int(d[i] * lcm) for i in comp]
-        g = 0
-        for v in vals:
-            g = math.gcd(g, v)
-        for i, v in zip(comp, vals):
-            d[i] = v // g
-    return tuple(int(v) for v in d)
+    d = tree_symmetrizer(A, 1)
+    if d is None:
+        raise ValueError("Cartan matrix is not symmetrizable")
+    return d
 
 
 def coxeter_data(A, cap=1000):

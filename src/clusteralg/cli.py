@@ -48,6 +48,11 @@ def _load_b(type_name, matrix_file, rank2, btilde_file=None):
         M, n = matrix_from_json(fh.read())
     if btilde_file:
         return None, (M, n)
+    if len(M) > n:
+        raise UsageError(
+            "--matrix expects an n x n exchange matrix, not a %dx%d extended "
+            "matrix; pass extended matrices with --btilde" % (len(M), n)
+        )
     return M, None
 
 

@@ -93,6 +93,14 @@ def _canonical(texts, Bt, n):
     return repr(best).encode(), sigma
 
 
+class _Texts(dict):
+    """Canonical text of each polynomial looked up, rendered once."""
+
+    def __missing__(self, p):
+        t = self[p] = lp_canonical_text(p)
+        return t
+
+
 def seed_canonical_form(seed):
     """Lexicographically minimal serialization over simultaneous relabelings."""
     texts = tuple(lp_canonical_text(x) for x in seed.x)
@@ -103,7 +111,8 @@ def build_exchange_graph(seed, cap=10 ** 5):
     """BFS over seeds up to relabeling; returns a dict with vertices,
     edges, the root key, and a finiteness flag."""
     n = seed.n
-    texts = tuple(lp_canonical_text(x) for x in seed.x)
+    render = _Texts()
+    texts = tuple(render[x] for x in seed.x)
     root, sigma = _canonical(texts, seed.Btilde, n)
     keys = {root: 0}
     seeds = {0: seed}
@@ -123,7 +132,7 @@ def build_exchange_graph(seed, cap=10 ** 5):
                 if (vid, kk) in known:
                     continue
                 s2 = mutate_seed_geometric(s, kk + 1)
-                t2 = texts[:kk] + (lp_canonical_text(s2.x[kk]),) + texts[kk + 1:]
+                t2 = texts[:kk] + (render[s2.x[kk]],) + texts[kk + 1:]
                 key, sigma = _canonical(t2, s2.Btilde, n)
                 w = keys.get(key)
                 if w is None:
@@ -175,18 +184,23 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
         raise IncompatibleInputs("unknown coefficient choice")
     if principal_part(sp.Btilde, n) != principal_part(so.Btilde, n):
         raise IncompatibleInputs("initial exchange matrices differ")
-    start = (seed_canonical_form(sp), seed_canonical_form(so))
+    render = _Texts()
+    tp = tuple(render[x] for x in sp.x)
+    to = tuple(render[x] for x in so.x)
+    start = (_canonical(tp, sp.Btilde, n)[0], _canonical(to, so.Btilde, n)[0])
     seen = {start}
     assignment = {start[0]: start[1]}
-    frontier = [(sp, so)]
+    frontier = [(sp, so, tp, to)]
     while frontier:
         nxt = []
-        for p, o in frontier:
-            for k in range(1, n + 1):
-                p2 = mutate_seed_geometric(p, k)
-                o2 = mutate_seed_geometric(o, k)
-                kp = seed_canonical_form(p2)
-                ko = seed_canonical_form(o2)
+        for p, o, tp, to in frontier:
+            for kk in range(n):
+                p2 = mutate_seed_geometric(p, kk + 1)
+                o2 = mutate_seed_geometric(o, kk + 1)
+                tp2 = tp[:kk] + (render[p2.x[kk]],) + tp[kk + 1:]
+                to2 = to[:kk] + (render[o2.x[kk]],) + to[kk + 1:]
+                kp = _canonical(tp2, p2.Btilde, n)[0]
+                ko = _canonical(to2, o2.Btilde, n)[0]
                 if kp in assignment:
                     if assignment[kp] != ko:
                         return False, (kp, assignment[kp], ko)
@@ -197,7 +211,7 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
                     if len(seen) >= cap:
                         raise CapExceeded("covering check cap exceeded")
                     seen.add(pair)
-                    nxt.append((p2, o2))
+                    nxt.append((p2, o2, tp2, to2))
         frontier = nxt
     return True, None
 

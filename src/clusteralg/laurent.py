@@ -210,14 +210,14 @@ class LaurentPolynomial:
             return LaurentPolynomial(
                 self.vars, {tuple(a * k for a in e): 1 if c == 1 or k % 2 == 0 else -1}
             )
-        r = LaurentPolynomial.const(self.vars, 1)
+        r = None
         b = self
         while k:
             if k & 1:
-                r = r * b
+                r = b if r is None else r * b
             b = b * b if k > 1 else b
             k >>= 1
-        return r
+        return LaurentPolynomial.const(self.vars, 1) if r is None else r
 
     def min_exponents(self):
         if not self.terms:
@@ -292,6 +292,25 @@ def lp_exact_div(p, q):
                     del rem[e]
     offset = tuple(map(sub, mp, mq))
     return LaurentPolynomial._of(p.vars, layout.unpack(quot, offset))
+
+
+def lp_exchange_monomials(factors, variables):
+    """(prod v^b over the (v, b) in factors with b > 0, prod v^-b over those
+    with b < 0); each product starts at its first factor, and an empty one
+    is the constant 1 over variables."""
+    plus = minus = None
+    for v, b in factors:
+        if b > 0:
+            f = v ** b
+            plus = f if plus is None else plus * f
+        elif b < 0:
+            f = v ** -b
+            minus = f if minus is None else minus * f
+    if plus is None:
+        plus = LaurentPolynomial.const(variables, 1)
+    if minus is None:
+        minus = LaurentPolynomial.const(variables, 1)
+    return plus, minus
 
 
 def lp_divides(q, p):

@@ -8,9 +8,10 @@ geometric coefficients.  Directions are 1-based throughout.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from collections import Counter
+from math import gcd, lcm
 
-from .laurent import LaurentPolynomial, lp_exact_div
+from .laurent import LaurentPolynomial, lp_exact_div, lp_exchange_monomials
 from .semifield import TropicalSemifield
 
 
@@ -60,6 +61,52 @@ def principal_part(M, n):
     return tuple(row for row in M[:n])
 
 
+def tree_symmetrizer(M, sign):
+    """Integers d with d_i m_ij = sign * d_j m_ji, coprime on each component
+    and positive at its least index, found along a spanning tree; None when
+    two tree paths disagree.
+
+    Weights stay reduced pairs (p, q), q > 0, standing for p / q.  An entry
+    m_ij != 0 with m_ji = 0 raises ZeroDivisionError, as Fraction(m_ij, 0)
+    does.
+    """
+    n = len(M)
+    num = [None] * n
+    den = [None] * n
+    for root in range(n):
+        if num[root] is not None:
+            continue
+        num[root] = den[root] = 1
+        stack = [root]
+        comp = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                a = M[i][j]
+                if i == j or not a:
+                    continue
+                b = sign * M[j][i]
+                if not b:
+                    raise ZeroDivisionError("Fraction(%d, 0)" % a)
+                p, q = num[i] * a, den[i] * b
+                if q < 0:
+                    p, q = -p, -q
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                if num[j] is None:
+                    num[j], den[j] = p, q
+                    comp.append(j)
+                    stack.append(j)
+                elif num[j] != p or den[j] != q:
+                    return None
+        # the root weighs 1, so scaling by the lcm of the denominators
+        # leaves coprime integers: the minimal ones
+        ell = lcm(*(den[i] for i in comp))
+        for i in comp:
+            num[i] *= ell // den[i]
+    return tuple(num)
+
+
 def skew_symmetrizer(B):
     """Minimal positive integer d with d_i b_ij = -d_j b_ji, per component."""
     n = len(B)
@@ -73,48 +120,14 @@ def skew_symmetrizer(B):
                 raise NotSkewSymmetrizable("zero pattern is not symmetric")
             if B[i][j] * B[j][i] > 0:
                 raise NotSkewSymmetrizable("entries b_ij, b_ji have equal signs")
-    d = [None] * n
-    for root in range(n):
-        if d[root] is not None:
-            continue
-        d[root] = Fraction(1)
-        stack = [root]
-        comp = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if B[i][j] == 0:
-                    continue
-                w = d[i] * Fraction(B[i][j], -B[j][i])
-                if d[j] is None:
-                    d[j] = w
-                    comp.append(j)
-                    stack.append(j)
-                elif d[j] != w:
-                    raise NotSkewSymmetrizable("inconsistent symmetrizer weights")
-        # scale the component to minimal positive integers
-        lcm = 1
-        for i in comp:
-            q = d[i].denominator
-            lcm = lcm * q // _gcd(lcm, q)
-        vals = [int(d[i] * lcm) for i in comp]
-        g = 0
-        for v in vals:
-            g = _gcd(g, v)
-        for i, v in zip(comp, vals):
-            d[i] = v // g
-    d = tuple(int(x) for x in d)
+    d = tree_symmetrizer(B, -1)
+    if d is None:
+        raise NotSkewSymmetrizable("inconsistent symmetrizer weights")
     for i in range(n):
         for j in range(n):
             if d[i] * B[i][j] != -d[j] * B[j][i]:
                 raise NotSkewSymmetrizable("symmetrizer check failed")
     return d
-
-
-def _gcd(a, b):
-    import math
-
-    return math.gcd(a, b)
 
 
 def mutate_matrix(M, k):
@@ -177,15 +190,21 @@ def mutate_y(ys, k):
 
 
 class LabeledSeedGeometric:
-    """Cluster of Laurent polynomials in m ambient variables + extended matrix."""
+    """Cluster of Laurent polynomials in m ambient variables + extended matrix.
 
-    __slots__ = ("x", "Btilde", "n", "vars")
+    A constructed seed starts a new exchange table; mutate_seed_geometric
+    hands it on to every seed it derives, so a seed and its descendants
+    divide each exchange relation once.
+    """
+
+    __slots__ = ("x", "Btilde", "n", "vars", "_exchanges")
 
     def __init__(self, x, Btilde, n, variables):
         self.x = tuple(x)
         self.Btilde = matrix(Btilde)
         self.n = n
         self.vars = tuple(variables)
+        self._exchanges = {}
         if len(self.x) != n or len(self.Btilde[0]) != n:
             raise ValueError("cluster/matrix size mismatch")
         if len(self.Btilde) != len(self.vars):
@@ -223,25 +242,32 @@ def initial_geometric_seed(Btilde, variables=None):
 
 
 def mutate_seed_geometric(seed, k):
-    """Geometric exchange: x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k."""
-    m = len(seed.vars)
+    """Geometric exchange: x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k.
+
+    x_k, the multiset of (x_i, b_ik) over mutable i with b_ik != 0, and the
+    frozen column fix the dividend and the divisor, so x'_k is divided once
+    per such key and then read from the seed's exchange table.
+    """
     n = seed.n
     kk = _direction(k, n)
-    plus = LaurentPolynomial.const(seed.vars, 1)
-    minus = LaurentPolynomial.const(seed.vars, 1)
-    for i in range(m):
-        b = seed.Btilde[i][kk]
-        if b == 0:
-            continue
-        v = seed.x[i] if i < n else seed.frozen_monomial(i)
-        if b > 0:
-            plus = plus * v ** b
-        else:
-            minus = minus * v ** (-b)
-    new_xk = lp_exact_div(plus + minus, seed.x[kk])
+    col = [row[kk] for row in seed.Btilde]
+    key = (
+        seed.x[kk],
+        frozenset(Counter((v, b) for v, b in zip(seed.x, col) if b).items()),
+        tuple(col[n:]),
+    )
+    new_xk = seed._exchanges.get(key)
+    if new_xk is None:
+        factors = list(zip(seed.x, col)) + [
+            (seed.frozen_monomial(i), col[i]) for i in range(n, len(col)) if col[i]
+        ]
+        plus, minus = lp_exchange_monomials(factors, seed.vars)
+        new_xk = seed._exchanges[key] = lp_exact_div(plus + minus, seed.x[kk])
     x = list(seed.x)
     x[kk] = new_xk
-    return LabeledSeedGeometric(x, mutate_matrix(seed.Btilde, k), n, seed.vars)
+    child = LabeledSeedGeometric(x, mutate_matrix(seed.Btilde, k), n, seed.vars)
+    child._exchanges = seed._exchanges
+    return child
 
 
 def mutate_seed_rational_oracle(x, ys, k, max_rank=3, max_steps=8, _step_budget=None):

@@ -16,6 +16,7 @@ from .laurent import (
     lp_canonical_text,
     lp_denominator_vector,
     lp_exact_div,
+    lp_exchange_monomials,
     lp_substitute_monomial,
 )
 from .mutation import (
@@ -56,8 +57,7 @@ class PrincipalPattern:
         self.yvars = tuple("y%d" % (j + 1) for j in range(n))
         self.vars = self.xvars + self.yvars
         Bt0 = principal_extension(self.B0)
-        # constants of every step: 1 and the y_j, in x,y and in y alone
-        self._one = LaurentPolynomial.const(self.vars, 1)
+        # constants of every step: the y_j in x,y and in y alone, and 1 in y
         self._frozen = tuple(LaurentPolynomial.var(self.vars, v) for v in self.yvars)
         self._one_y = LaurentPolynomial.const(self.yvars, 1)
         self._y = tuple(LaurentPolynomial.var(self.yvars, v) for v in self.yvars)
@@ -86,35 +86,19 @@ class PrincipalPattern:
         Bt = st["Btilde"]
         Bt2 = mutate_matrix(Bt, k)
         # geometric exchange for X
-        plus = minus = self._one
-        for i in range(2 * n):
-            b = Bt[i][kk]
-            if b == 0:
-                continue
-            v = st["X"][i] if i < n else self._frozen[i - n]
-            if b > 0:
-                plus = plus * v ** b
-            else:
-                minus = minus * v ** (-b)
+        col = [row[kk] for row in Bt]
+        plus, minus = lp_exchange_monomials(
+            zip(st["X"] + self._frozen, col), self.vars
+        )
         Xk = lp_exact_div(plus + minus, st["X"][kk])
         X = list(st["X"])
         X[kk] = Xk
 
         # F-polynomial: by specialization and independently by recurrence
         Fk_spec = self._specialize(Xk)
-        Fp = Fm = self._one_y
-        for j in range(n):
-            c = Bt[n + j][kk]
-            if c > 0:
-                Fp = Fp * self._y[j] ** c
-            elif c < 0:
-                Fm = Fm * self._y[j] ** (-c)
-        for i in range(n):
-            b = Bt[i][kk]
-            if b > 0:
-                Fp = Fp * st["F"][i] ** b
-            elif b < 0:
-                Fm = Fm * st["F"][i] ** (-b)
+        Fp, Fm = lp_exchange_monomials(
+            zip(self._y + st["F"], col[n:] + col[:n]), self.yvars
+        )
         Fk_rec = lp_exact_div(Fp + Fm, st["F"][kk])
         if Fk_spec != Fk_rec:
             raise CrossCheckFailure("F-polynomial recurrence disagrees at k=%d" % k)

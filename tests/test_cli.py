@@ -178,3 +178,34 @@ def test_mutate_input_that_is_not_an_exchange_matrix_is_a_usage_error(
     assert out.out == ""
     assert len(out.err.splitlines()) == 1
     assert out.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["f-poly", "--path", "1"],
+        ["walk", "--path", "1"],
+        ["g-vector", "--path", "1"],
+        ["d-vector", "--path", "1"],
+        ["check"],
+        ["belt", "--range", "0:2"],
+        ["graph"],
+        ["mutate", "--path", "1", "--json"],
+        ["universal"],
+        ["specialize"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_extended_matrix_given_to_matrix_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, command
+):
+    src = tmp_path / "bt.json"
+    src.write_text(json.dumps({"Btilde": [[0, 1], [-1, 0], [1, 1]], "n": 2}))
+    monkeypatch.setattr(sys, "argv", ["cluster", *command, "--matrix", str(src)])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("usage error: ") and "--btilde" in out.err

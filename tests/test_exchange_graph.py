@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusteralg import exchange_graph
+from clusteralg import exchange_graph, mutation
 from clusteralg.exchange_graph import (
     CapExceeded,
     _canonical,
@@ -15,7 +15,7 @@ from clusteralg.exchange_graph import (
     mutation_class_finiteness,
     seed_canonical_form,
 )
-from clusteralg.laurent import lp_canonical_text
+from clusteralg.laurent import lp_canonical_text, lp_exact_div
 from clusteralg.mutation import (
     LabeledSeedGeometric,
     initial_geometric_seed,
@@ -173,6 +173,42 @@ def test_each_edge_is_mutated_once(monkeypatch, name, edges, coeffs):
     g = graph_from_spec(named_matrix(name), coeffs=coeffs)
     assert g["finite"] and len(g["edges"]) == edges
     assert len(calls) == edges
+
+
+@pytest.mark.parametrize(
+    "name,variables,edges,divisions", [("D4", 16, 100, 58), ("E6", 42, 2499, 468)]
+)
+@pytest.mark.parametrize("coeffs", ["principal", "trivial"])
+def test_each_exchange_relation_is_divided_once(
+    monkeypatch, name, variables, edges, divisions, coeffs
+):
+    # one mutation per edge, one division per distinct exchange relation
+    calls = []
+
+    def counting(p, q):
+        calls.append(q)
+        return lp_exact_div(p, q)
+
+    monkeypatch.setattr(mutation, "lp_exact_div", counting)
+    g = graph_from_spec(named_matrix(name), coeffs=coeffs)
+    assert g["finite"] and len(g["edges"]) == edges
+    assert len(g["cluster_variables"]) == variables
+    assert len(calls) == divisions
+
+
+@pytest.mark.parametrize("other,renders", [("trivial", 32), ("principal", 16)])
+def test_covering_check_renders_each_cluster_variable_once(monkeypatch, other, renders):
+    # D4 has 16 cluster variables per coefficient choice; principal over
+    # principal meets the same 16 polynomials on both sides
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return lp_canonical_text(p)
+
+    monkeypatch.setattr(exchange_graph, "lp_canonical_text", counting)
+    assert covering_check(named_matrix("D4"), coeffs_other=other) == (True, None)
+    assert len(calls) == renders
 
 
 def _relabel(seed, pi):

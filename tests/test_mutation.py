@@ -1,15 +1,19 @@
 """Matrix, Y-seed, and geometric seed mutation."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusteralg.laurent import RationalExpression, lp_canonical_text
+from clusteralg.bipartite import cartan_symmetrizer
+from clusteralg.laurent import LaurentPolynomial, RationalExpression, lp_canonical_text
 from clusteralg.mutation import (
     CARTAN,
     InvalidDirection,
+    LabeledSeedGeometric,
     LabeledYSeed,
     MalformedMatrix,
     NotSkewSymmetrizable,
@@ -180,3 +184,174 @@ def test_laurent_phenomenon_on_a_longer_walk():
         seed = mutate_seed_geometric(seed, k)
     for x in seed.x:
         assert lp_canonical_text(x)  # well-formed Laurent polynomial
+
+
+def _reference_symmetrizer(M, ratio, inconsistent):
+    """The symmetrizer along a spanning tree in fractions.Fraction, with
+    d_j = d_i * ratio(i, j), as both symmetrizers computed it before they
+    shared one integer-only helper."""
+    n = len(M)
+    d = [None] * n
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        stack = [root]
+        comp = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i != j and M[i][j]:
+                    w = d[i] * ratio(i, j)
+                    if d[j] is None:
+                        d[j] = w
+                        comp.append(j)
+                        stack.append(j)
+                    elif d[j] != w:
+                        raise inconsistent
+        lcm = 1
+        for i in comp:
+            lcm = lcm * d[i].denominator // math.gcd(lcm, d[i].denominator)
+        vals = [int(d[i] * lcm) for i in comp]
+        g = 0
+        for v in vals:
+            g = math.gcd(g, v)
+        for i, v in zip(comp, vals):
+            d[i] = v // g
+    return tuple(int(v) for v in d)
+
+
+def _reference_skew_symmetrizer(B):
+    n = len(B)
+    for i in range(n):
+        if len(B[i]) != n:
+            raise ValueError("exchange matrix must be square")
+        if B[i][i] != 0:
+            raise NotSkewSymmetrizable("nonzero diagonal entry")
+        for j in range(n):
+            if (B[i][j] == 0) != (B[j][i] == 0):
+                raise NotSkewSymmetrizable("zero pattern is not symmetric")
+            if B[i][j] * B[j][i] > 0:
+                raise NotSkewSymmetrizable("entries b_ij, b_ji have equal signs")
+    d = _reference_symmetrizer(
+        B,
+        lambda i, j: Fraction(B[i][j], -B[j][i]),
+        NotSkewSymmetrizable("inconsistent symmetrizer weights"),
+    )
+    for i in range(n):
+        for j in range(n):
+            if d[i] * B[i][j] != -d[j] * B[j][i]:
+                raise NotSkewSymmetrizable("symmetrizer check failed")
+    return d
+
+
+def _reference_cartan_symmetrizer(A):
+    return _reference_symmetrizer(
+        A,
+        lambda i, j: Fraction(A[i][j], A[j][i]),
+        ValueError("Cartan matrix is not symmetrizable"),
+    )
+
+
+def _outcome(f, M):
+    try:
+        return f(M)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def symmetrizer_inputs(draw):
+    """Square matrices up to rank 6: D S (S skew-symmetric, so skew-
+    symmetrizable with weights 1/d_i), sign-skew with free magnitudes
+    (mostly not symmetrizable), either with one nonzero diagonal entry,
+    or any entries at all (equal signs, asymmetric zero patterns)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["DS", "sign-skew", "bad-diagonal", "any"]))
+    entry = st.integers(-3, 3)
+    M = [[0] * n for _ in range(n)]
+    if kind == "any":
+        M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    elif kind == "DS":
+        d = [draw(st.integers(1, 4)) for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = draw(entry)
+                M[i][j], M[j][i] = d[i] * s, -d[j] * s
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = draw(entry)
+                M[i][j] = s
+                M[j][i] = -_sgn(s) * draw(st.integers(1, 4))
+        if kind == "bad-diagonal":
+            i = draw(st.integers(0, n - 1))
+            M[i][i] = draw(st.integers(1, 3))
+    return tuple(tuple(row) for row in M)
+
+
+def _sgn(a):
+    return (a > 0) - (a < 0)
+
+
+@given(symmetrizer_inputs())
+@settings(max_examples=150, deadline=None)
+def test_symmetrizers_match_the_fraction_reference(M):
+    assert _outcome(skew_symmetrizer, M) == _outcome(_reference_skew_symmetrizer, M)
+    assert _outcome(cartan_symmetrizer, M) == _outcome(
+        _reference_cartan_symmetrizer, M
+    )
+
+
+EXCHANGE_TYPES = ["A3", "B3", "C3", "D4", "G2", "rank2(1,3)"]
+
+
+@given(
+    st.sampled_from(EXCHANGE_TYPES),
+    st.sampled_from([principal_extension, trivial_extension]),
+    st.lists(st.integers(1, 4), max_size=10),
+)
+@settings(max_examples=40, deadline=None)
+def test_exchange_table_gives_what_division_gives(name, extend, path):
+    B = rank2_matrix(1, 3) if name == "rank2(1,3)" else named_matrix(name)
+    seed = initial_geometric_seed(extend(B))
+    for k in path:
+        k = (k - 1) % seed.n + 1
+        child = mutate_seed_geometric(seed, k)
+        # a copy of the parent starts an empty table, so it divides
+        alone = LabeledSeedGeometric(seed.x, seed.Btilde, seed.n, seed.vars)
+        fresh = mutate_seed_geometric(alone, k)
+        assert child.x == fresh.x and child.Btilde == fresh.Btilde
+        seed = child
+
+
+@pytest.mark.parametrize(
+    "x,Btilde,path",
+    [
+        # x_1 = x_2 = p: the two exchanges differ only in the frozen column
+        (("p", "p"), ((0, 0), (0, 0), (1, 2)), (1, 2)),
+        # mu_4 divides (1 + p)/q, mu_2 then divides (1 + p^2)/q: x_2 = x_4
+        # and the neighbors differ only in how often (p, -1) occurs
+        (
+            ("p", "q", "p", "q"),
+            ((0, -1, 0, -1), (1, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
+            (4, 2),
+        ),
+    ],
+    ids=["frozen-column", "multiplicity"],
+)
+def test_exchange_table_keeps_apart_relations_with_repeated_variables(
+    x, Btilde, path
+):
+    # a directly built seed may repeat a cluster variable, so every part of
+    # the table's key is needed to tell its exchange relations apart
+    variables = ("p", "q", "f", "g")[: len(Btilde)]
+    n = len(x)
+    seed = LabeledSeedGeometric(
+        [LaurentPolynomial.var(variables, v) for v in x], Btilde, n, variables
+    )
+    for k in path:
+        child = mutate_seed_geometric(seed, k)
+        alone = LabeledSeedGeometric(seed.x, seed.Btilde, n, seed.vars)
+        assert child.x == mutate_seed_geometric(alone, k).x
+        seed = child
