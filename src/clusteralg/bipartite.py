@@ -20,14 +20,6 @@ class NotBipartite(ValueError):
     pass
 
 
-class NotBipartiteGraph(NotBipartite):
-    pass
-
-
-class SizeGuardExceeded(RuntimeError):
-    pass
-
-
 # -- root lattice ---------------------------------------------------------
 
 
@@ -79,19 +71,6 @@ def orbit_vector(A, eps, i, m, op=t_action):
     for s in _word_signs(eps[i], r):
         v = op(A, eps, s, v)
     return v
-
-
-def orbit_vectors(A, eps, m_range):
-    """Tables of alpha(i;m) and d(i;m) over the given inclusive range."""
-    alphas = {}
-    dds = {}
-    for m in range(m_range[0], m_range[1] + 1):
-        for i in range(len(A)):
-            if eps[i] != (1 if m % 2 == 0 else -1):
-                continue
-            alphas[(i + 1, m)] = orbit_vector(A, eps, i, m, t_action)
-            dds[(i + 1, m)] = orbit_vector(A, eps, i, m, tau_action)
-    return alphas, dds
 
 
 def _mat_mul(A, B):
@@ -314,34 +293,17 @@ def belt_walk(B, m_range, verify=True):
 
 
 def belt_f_recurrence(B, m_hi):
-    """Belt F-polynomials computed purely from the two-term recurrence
-    F(j;m-1) F(j;m+1) = y^[-d]+ prod F(i;m)^(-a_ij) + y^[d]+ with
-    d = d(j;m-1), by exact division.  Much cheaper than full seed
-    propagation for large types."""
-    from .laurent import lp_exact_div
+    """Belt F-polynomials {(i, m): F(i;m)} over y1..yn from the two-term
+    recurrence F(j;m-1) F(j;m+1) = y^[-d]+ prod F(i;m)^(-a_ij) + y^[d]+ with
+    d = d(j;m-1), by evaluation and interpolation modulo a prime (see
+    `belt_modp`), with every F checked as it is made."""
+    from .belt_modp import belt_table
 
     B = matrix(B)
     A, eps = cartan_counterpart_and_sign(B)
     if eps is None:
         raise NotBipartite("belt recurrence needs a bipartite matrix")
-    n = len(A)
-    yvars = tuple("y%d" % (i + 1) for i in range(n))
-    one = LaurentPolynomial.const(yvars, 1)
-    table = {}
-    for i in range(n):
-        table[(i + 1, 0 if eps[i] == 1 else -1)] = one
-    for m in range(0, m_hi):
-        for j in range(n):
-            if eps[j] != (1 if (m + 1) % 2 == 0 else -1):
-                continue
-            d = orbit_vector(A, eps, j, m - 1, tau_action)
-            t1 = LaurentPolynomial.monomial(yvars, tuple(_pos(-v) for v in d))
-            for i in range(n):
-                if i != j and A[i][j]:
-                    t1 = t1 * table[(i + 1, m)] ** (-A[i][j])
-            t2 = LaurentPolynomial.monomial(yvars, tuple(_pos(v) for v in d))
-            table[(j + 1, m + 1)] = lp_exact_div(t1 + t2, table[(j + 1, m - 1)])
-    return table
+    return belt_table(A, eps, m_hi)
 
 
 # -- Y-systems ------------------------------------------------------------

@@ -56,6 +56,37 @@ def _load_b(type_name, matrix_file, rank2, btilde_file=None):
     return M, None
 
 
+def _load_cartan(path):
+    """The symmetrizable generalized Cartan matrix in a JSON file {"A": rows}:
+    integer entries, a diagonal of 2, off-diagonal entries <= 0, a_ij = 0
+    exactly when a_ji = 0, and positive d_i with d_i a_ij = d_j a_ji."""
+    with open(path) as fh:
+        try:
+            rows = json.load(fh)["A"]
+        except (ValueError, TypeError, KeyError):
+            raise UsageError('--cartan expects a JSON object {"A": rows}')
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
+    ):
+        raise UsageError("--cartan expects a list of lists of integers")
+    A = matrix(rows)
+    n = len(A)
+    if len(A[0]) != n:
+        raise UsageError("--cartan expects a square matrix")
+    for i in range(n):
+        if A[i][i] != 2:
+            raise UsageError("--cartan expects 2 on the diagonal")
+        for j in range(n):
+            if i != j and (A[i][j] > 0 or (A[i][j] == 0) != (A[j][i] == 0)):
+                raise UsageError(
+                    "--cartan expects a_ij <= 0, and a_ij = 0 exactly when "
+                    "a_ji = 0, off the diagonal"
+                )
+    if mutation.tree_symmetrizer(A, 1) is None:
+        raise UsageError("--cartan matrix is not symmetrizable")
+    return A
+
+
 def _parse_path(text):
     if not text:
         return ()
@@ -338,8 +369,7 @@ def ysystem(type_name, rank2, cartan_file, steps, initial, semifield_name, out):
     if cartan_file:
         if type_name or rank2:
             raise UsageError("provide exactly one of --type / --rank2 / --cartan")
-        with open(cartan_file) as fh:
-            A = matrix(json.load(fh)["A"])
+        A = _load_cartan(cartan_file)
     else:
         B, _ = _load_b(type_name, None, rank2)
         A = bipartite.cartan_counterpart_and_sign(B)[0]

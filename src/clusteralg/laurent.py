@@ -122,8 +122,7 @@ class LaurentPolynomial:
         return not self.terms
 
     def is_one(self):
-        z = (0,) * len(self.vars)
-        return self.terms == {z: 1}
+        return len(self.terms) == 1 and self.terms.get((0,) * len(self.vars)) == 1
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -296,14 +295,16 @@ def lp_exact_div(p, q):
 
 def lp_exchange_monomials(factors, variables):
     """(prod v^b over the (v, b) in factors with b > 0, prod v^-b over those
-    with b < 0); each product starts at its first factor, and an empty one
-    is the constant 1 over variables."""
+    with b < 0); each product starts at its first factor other than the
+    constant 1, and an empty one is the constant 1 over variables."""
     plus = minus = None
     for v, b in factors:
+        if not b or v.is_one():
+            continue
         if b > 0:
             f = v ** b
             plus = f if plus is None else plus * f
-        elif b < 0:
+        else:
             f = v ** -b
             minus = f if minus is None else minus * f
     if plus is None:

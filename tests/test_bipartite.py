@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import clusteralg.belt_modp as belt_modp
+from belt_reference import belt_f_reference
 from clusteralg.bipartite import (
     Belt,
     NotBipartite,
@@ -28,9 +30,11 @@ from clusteralg.laurent import (
 from clusteralg.mutation import (
     CARTAN,
     bipartite_sign_from_cartan,
+    cartan_counterpart_and_sign,
     named_matrix,
     rank2_matrix,
 )
+from clusteralg.principal import CrossCheckFailure
 from clusteralg.semifield import PositiveRationalSemifield, UniversalSemifield
 
 A2_CARTAN = CARTAN["A2"]
@@ -215,6 +219,108 @@ def test_belt_f_recurrence_matches_pattern():
             if m < 0:
                 continue
             assert belt.state(m)["F"][i - 1] == F, (name, i, m)
+
+
+FINITE_BELT_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4", "A1xA1", "E6")
+
+
+def _relabeled(B, sigma):
+    return tuple(tuple(B[sigma[i]][sigma[j]] for j in range(len(B))) for i in range(len(B)))
+
+
+def _belt_input(name):
+    if name == "E6-relabeled":
+        return _relabeled(named_matrix("E6"), (3, 0, 5, 1, 4, 2))
+    return named_matrix(name)
+
+
+def _assert_same_table(got, want):
+    assert list(got) == list(want)
+    for key, F in want.items():
+        assert got[key].vars == F.vars, key
+        assert got[key].terms == F.terms, key
+
+
+@pytest.mark.parametrize("name", FINITE_BELT_TYPES + ("E6-relabeled",))
+def test_belt_f_recurrence_matches_the_sparse_route(name):
+    B = _belt_input(name)
+    h = coxeter_data(cartan_counterpart_and_sign(B)[0])["h"]
+    _assert_same_table(belt_f_recurrence(B, h + 2), belt_f_reference(B, h + 2))
+
+
+@pytest.mark.parametrize("bc", [(1, 3), (2, 2)])
+def test_belt_f_recurrence_matches_the_sparse_route_in_infinite_type(bc):
+    B = rank2_matrix(*bc)
+    for m_hi in range(0, 9):
+        _assert_same_table(belt_f_recurrence(B, m_hi), belt_f_reference(B, m_hi))
+
+
+@pytest.mark.slow
+def test_belt_f_recurrence_matches_the_sparse_route_on_e7():
+    B = named_matrix("E7")
+    _assert_same_table(belt_f_recurrence(B, 20), belt_f_reference(B, 20))
+
+
+@pytest.mark.parametrize("name", FINITE_BELT_TYPES + ("E7",))
+def test_belt_degree_boxes_are_the_positive_parts_of_the_d_vectors(name):
+    A, eps = cartan_counterpart_and_sign(named_matrix(name))
+    h = coxeter_data(A)["h"]
+    _, box = belt_modp._belt_degrees(A, eps, h + 2)
+    for (i, m), b in box.items():
+        d = orbit_vector(A, eps, i - 1, m, tau_action)
+        assert b == tuple(max(v, 0) for v in d), (name, i, m)
+
+
+def _failing_batch_inverse(monkeypatch, failures):
+    """Make the first `failures` batch inversions report a zero divisor, and
+    record the modulus of every call."""
+    real = belt_modp._batch_inverse
+    moduli = []
+
+    def batch_inverse(values, p):
+        moduli.append(p)
+        if len(moduli) <= failures:
+            raise ZeroDivisionError("a divisor is 0 modulo %d" % p)
+        return real(values, p)
+
+    monkeypatch.setattr(belt_modp, "_batch_inverse", batch_inverse)
+    return moduli
+
+
+def test_belt_f_recurrence_moves_to_the_next_prime_on_a_zero_divisor(monkeypatch):
+    moduli = _failing_batch_inverse(monkeypatch, 1)
+    B = named_matrix("D4")
+    got = belt_f_recurrence(B, 8)
+    assert moduli[0] == 2 ** 61 - 1
+    assert set(moduli[1:]) == {2 ** 89 - 1}
+    _assert_same_table(got, belt_f_reference(B, 8))
+
+
+def test_belt_f_recurrence_gives_up_past_the_last_prime(monkeypatch):
+    _failing_batch_inverse(monkeypatch, 10 ** 6)
+    with pytest.raises(ArithmeticError) as exc:
+        belt_f_recurrence(named_matrix("A2"), 5)
+    assert type(exc.value) is ArithmeticError
+    assert len(str(exc.value).splitlines()) == 1
+
+
+def test_belt_f_recurrence_rejects_a_degree_box_one_too_small(monkeypatch):
+    # every F with a nonzero degree, shrunk by one on each such axis in turn
+    real = belt_modp._belt_degrees
+    A, eps = cartan_counterpart_and_sign(named_matrix("D4"))
+    _, boxes = real(A, eps, 8)
+    cases = [(key, r) for key, b in boxes.items() for r in range(4) if b[r]]
+    assert len(cases) == 27
+    for key, r in cases:
+
+        def shrunk(*args):
+            steps, box = real(*args)
+            box[key] = tuple(v - (s == r) for s, v in enumerate(box[key]))
+            return steps, box
+
+        monkeypatch.setattr(belt_modp, "_belt_degrees", shrunk)
+        with pytest.raises(CrossCheckFailure):
+            belt_f_recurrence(named_matrix("D4"), 8)
 
 
 def test_not_bipartite_rejected():

@@ -209,3 +209,37 @@ def test_extended_matrix_given_to_matrix_is_a_usage_error(
     assert out.out == ""
     assert len(out.err.splitlines()) == 1
     assert out.err.startswith("usage error: ") and "--btilde" in out.err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, -1], [0, 2]],  # a_12 != 0 but a_21 = 0
+        [[2, -1], [1, 2]],  # a positive off-diagonal entry
+        [[1, -1], [-1, 2]],  # a diagonal entry other than 2
+        [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],  # not symmetrizable
+        [[2, -1]],  # not square
+    ],
+    ids=["zero-pattern", "positive-entry", "diagonal", "not-symmetrizable", "not-square"],
+)
+def test_ysystem_cartan_that_is_not_a_symmetrizable_cartan_matrix_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, rows
+):
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps({"A": rows}))
+    monkeypatch.setattr(sys, "argv", ["cluster", "ysystem", "--cartan", str(src), "--steps", "2"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("usage error: ")
+
+
+def test_ysystem_accepts_a_symmetrizable_cartan_matrix(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps({"A": [[2, -1], [-3, 2]]}))
+    monkeypatch.setattr(sys, "argv", ["cluster", "ysystem", "--cartan", str(src), "--steps", "2"])
+    cli.run()
+    assert capsys.readouterr().out.splitlines()[0] == "y[1;-1] = u1"

@@ -13,6 +13,7 @@ from clusteralg.laurent import (
     lp_canonical_text,
     lp_denominator_vector,
     lp_exact_div,
+    lp_exchange_monomials,
     lp_from_json,
     lp_parse,
     lp_rename,
@@ -261,3 +262,22 @@ def test_first_power_is_the_polynomial_itself(p):
     for k in range(5):
         assert p ** k == acc
         acc = acc * p
+
+
+def test_exchange_monomials_skip_constant_one_factors(monkeypatch):
+    one = LaurentPolynomial.const(VARS, 1)
+    x = poly({(1, 0): 1})
+    f = poly({(0, 0): 1, (0, 1): 2})
+    calls = []
+    real = LaurentPolynomial.__mul__
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+    assert lp_exchange_monomials([(one, 2), (x, 1), (one, -3)], VARS) == (x, one)
+    assert lp_exchange_monomials([(one, 1), (one, -1)], VARS) == (one, one)
+    assert calls == []
+    assert lp_exchange_monomials([(x, 1), (one, 1), (f, 1)], VARS) == (x * f, one)
+    assert len(calls) == 2  # x * f above and here
