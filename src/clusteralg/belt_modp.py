@@ -33,7 +33,8 @@ from operator import mul
 
 from .bipartite import orbit_vector, tau_action
 from .laurent import LaurentPolynomial
-from .principal import CrossCheckFailure, _pos
+from .mutation import _pos
+from .principal import CrossCheckFailure
 
 # Mersenne primes 2^k - 1, ascending: the moduli the route may use.
 _PRIMES = tuple((1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279))

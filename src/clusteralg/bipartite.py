@@ -8,12 +8,13 @@ from .laurent import (
     lp_canonical_text,
 )
 from .mutation import (
+    _pos,
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     matrix,
     tree_symmetrizer,
 )
-from .principal import CrossCheckFailure, PrincipalPattern, _pos, seed_signature
+from .principal import CrossCheckFailure, PrincipalPattern, seed_signature
 
 
 class NotBipartite(ValueError):

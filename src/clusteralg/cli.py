@@ -31,6 +31,17 @@ class UsageError(click.UsageError):
     pass
 
 
+def _read(path, flag):
+    """The text of the file given to flag; an unreadable file is a usage error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError("%s %s: %s" % (flag, path, exc.strerror or exc))
+    except UnicodeDecodeError:
+        raise UsageError("%s %s: not UTF-8 text" % (flag, path))
+
+
 def _load_b(type_name, matrix_file, rank2, btilde_file=None):
     sources = [s for s in (type_name, matrix_file, rank2, btilde_file) if s]
     if len(sources) != 1:
@@ -43,9 +54,8 @@ def _load_b(type_name, matrix_file, rank2, btilde_file=None):
         except ValueError:
             raise UsageError("--rank2 expects 'b,c'")
         return rank2_matrix(b, c), None
-    path = matrix_file or btilde_file
-    with open(path) as fh:
-        M, n = matrix_from_json(fh.read())
+    flag = "--matrix" if matrix_file else "--btilde"
+    M, n = matrix_from_json(_read(matrix_file or btilde_file, flag))
     if btilde_file:
         return None, (M, n)
     if len(M) > n:
@@ -60,11 +70,11 @@ def _load_cartan(path):
     """The symmetrizable generalized Cartan matrix in a JSON file {"A": rows}:
     integer entries, a diagonal of 2, off-diagonal entries <= 0, a_ij = 0
     exactly when a_ji = 0, and positive d_i with d_i a_ij = d_j a_ji."""
-    with open(path) as fh:
-        try:
-            rows = json.load(fh)["A"]
-        except (ValueError, TypeError, KeyError):
-            raise UsageError('--cartan expects a JSON object {"A": rows}')
+    text = _read(path, "--cartan")
+    try:
+        rows = json.loads(text)["A"]
+    except (ValueError, TypeError, KeyError):
+        raise UsageError('--cartan expects a JSON object {"A": rows}')
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and all(type(v) is int for v in row) for row in rows
     ):

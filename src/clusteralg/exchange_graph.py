@@ -172,7 +172,13 @@ def graph_from_spec(B, coeffs="principal", cap=10 ** 5):
 
 def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
     """Tree-aligned check that the principal-coefficient exchange graph
-    covers the graph with another coefficient choice for the same B."""
+    covers the graph with another coefficient choice for the same B.
+
+    Each pair of seeds is mutated in every direction except one known to
+    lead back to a checked pair: when mu_k of pair v reaches pair w and
+    both seeds put k at the same position of w, mutating w there gives v
+    again (mutation is an involution), so that direction is skipped.
+    """
     B = matrix(B)
     n = len(B)
     sp = initial_geometric_seed(principal_extension(B))
@@ -187,31 +193,43 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
     render = _Texts()
     tp = tuple(render[x] for x in sp.x)
     to = tuple(render[x] for x in so.x)
-    start = (_canonical(tp, sp.Btilde, n)[0], _canonical(to, so.Btilde, n)[0])
-    seen = {start}
-    assignment = {start[0]: start[1]}
-    frontier = [(sp, so, tp, to)]
+    kp, sigma_p = _canonical(tp, sp.Btilde, n)
+    ko, sigma_o = _canonical(to, so.Btilde, n)
+    pairs = {(kp, ko): 0}
+    # per pair: both seeds, their texts and their relabelings
+    found = [(sp, so, tp, to, sigma_p, sigma_o)]
+    assignment = {kp: ko}
+    # (pair, 0-based direction) known to lead back to a checked pair
+    known = set()
+    frontier = [0]
     while frontier:
         nxt = []
-        for p, o, tp, to in frontier:
+        for v in frontier:
+            p, o, tp, to = found[v][:4]
             for kk in range(n):
+                if (v, kk) in known:
+                    continue
                 p2 = mutate_seed_geometric(p, kk + 1)
                 o2 = mutate_seed_geometric(o, kk + 1)
                 tp2 = tp[:kk] + (render[p2.x[kk]],) + tp[kk + 1:]
                 to2 = to[:kk] + (render[o2.x[kk]],) + to[kk + 1:]
-                kp = _canonical(tp2, p2.Btilde, n)[0]
-                ko = _canonical(to2, o2.Btilde, n)[0]
+                kp, sigma_p = _canonical(tp2, p2.Btilde, n)
+                ko, sigma_o = _canonical(to2, o2.Btilde, n)
                 if kp in assignment:
                     if assignment[kp] != ko:
                         return False, (kp, assignment[kp], ko)
                 else:
                     assignment[kp] = ko
-                pair = (kp, ko)
-                if pair not in seen:
-                    if len(seen) >= cap:
+                w = pairs.get((kp, ko))
+                if w is None:
+                    if len(pairs) >= cap:
                         raise CapExceeded("covering check cap exceeded")
-                    seen.add(pair)
-                    nxt.append((p2, o2, tp2, to2))
+                    w = pairs[(kp, ko)] = len(found)
+                    found.append((p2, o2, tp2, to2, sigma_p, sigma_o))
+                    nxt.append(w)
+                back_p = found[w][4][sigma_p.index(kk)]
+                if back_p == found[w][5][sigma_o.index(kk)]:
+                    known.add((w, back_p))
         frontier = nxt
     return True, None
 

@@ -15,13 +15,14 @@ from .bipartite import (
 from .laurent import LaurentPolynomial, lp_canonical_text, lp_denominator_vector
 from .mutation import (
     LabeledYSeed,
+    _pos,
     cartan_counterpart_and_sign,
     initial_geometric_seed,
     matrix,
     mutate_seed_geometric,
     mutate_y,
 )
-from .principal import CrossCheckFailure, _pos
+from .principal import CrossCheckFailure
 from .semifield import TrivialSemifield, TropicalSemifield
 
 

@@ -241,6 +241,20 @@ def initial_geometric_seed(Btilde, variables=None):
     return LabeledSeedGeometric(x, Bt, n, variables)
 
 
+def exchange_key(x, col, kk):
+    """The key of an exchange table: x_k, the multiset of (x_i, b_ik) over
+    mutable i with b_ik != 0, and the frozen column.
+
+    x is the cluster, col the full column k of the extended matrix.  The
+    key fixes the dividend and the divisor of the exchange relation.
+    """
+    return (
+        x[kk],
+        frozenset(Counter((v, b) for v, b in zip(x, col) if b).items()),
+        tuple(col[len(x):]),
+    )
+
+
 def mutate_seed_geometric(seed, k):
     """Geometric exchange: x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k.
 
@@ -251,11 +265,7 @@ def mutate_seed_geometric(seed, k):
     n = seed.n
     kk = _direction(k, n)
     col = [row[kk] for row in seed.Btilde]
-    key = (
-        seed.x[kk],
-        frozenset(Counter((v, b) for v, b in zip(seed.x, col) if b).items()),
-        tuple(col[n:]),
-    )
+    key = exchange_key(seed.x, col, kk)
     new_xk = seed._exchanges.get(key)
     if new_xk is None:
         factors = list(zip(seed.x, col)) + [

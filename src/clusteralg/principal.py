@@ -4,6 +4,11 @@ Tracks, per tree vertex reached by a mutation path, the extended matrix,
 the cluster variables X (Laurent in x1..xn, y1..yn), the F-polynomials
 (in y1..yn), and the g-/c-vectors.  Every quantity is computed by two
 independent routes and cross-checked.
+
+The exchange relation at a vertex fixes X_k', F_k' = X_k'|_{x=1} and the
+g-vector of X_k'.  A pattern divides each distinct relation once, checks
+it once, and keeps the result in its exchange table; the checks that read
+the vertex (g-vector recurrences, degree consistency) run on every step.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from fractions import Fraction
 from .laurent import (
     LaurentPolynomial,
     RationalExpression,
-    lp_canonical_text,
     lp_denominator_vector,
     lp_exact_div,
     lp_exchange_monomials,
@@ -21,6 +25,8 @@ from .laurent import (
 )
 from .mutation import (
     LabeledYSeed,
+    _pos,
+    exchange_key,
     matrix,
     mutate_matrix,
     mutate_y,
@@ -39,10 +45,6 @@ from .semifield import (
 
 class CrossCheckFailure(AssertionError):
     pass
-
-
-def _pos(a):
-    return a if a > 0 else 0
 
 
 class PrincipalPattern:
@@ -69,6 +71,9 @@ class PrincipalPattern:
         g0 = tuple(tuple(1 if i == ell else 0 for i in range(n)) for ell in range(n))
         self._states = {(): {"Btilde": Bt0, "X": X0, "F": F0, "g": g0}}
         self._b0cols = [tuple(self.B0[i][j] for i in range(n)) for j in range(n)]
+        # exchange_key -> (X_k', F_k', g-vector of X_k'); (F, kk) -> h
+        self._exchanges = {}
+        self._hvals = {}
 
     # -- walking ------------------------------------------------------
     def state(self, path):
@@ -85,28 +90,18 @@ class PrincipalPattern:
         kk = k - 1
         Bt = st["Btilde"]
         Bt2 = mutate_matrix(Bt, k)
-        # geometric exchange for X
         col = [row[kk] for row in Bt]
-        plus, minus = lp_exchange_monomials(
-            zip(st["X"] + self._frozen, col), self.vars
-        )
-        Xk = lp_exact_div(plus + minus, st["X"][kk])
+        key = exchange_key(st["X"], col, kk)
+        ex = self._exchanges.get(key)
+        if ex is None:
+            ex = self._exchanges[key] = self._exchange(st, k, col)
+        Xk, Fk, gk_deg = ex
         X = list(st["X"])
         X[kk] = Xk
-
-        # F-polynomial: by specialization and independently by recurrence
-        Fk_spec = self._specialize(Xk)
-        Fp, Fm = lp_exchange_monomials(
-            zip(self._y + st["F"], col[n:] + col[:n]), self.yvars
-        )
-        Fk_rec = lp_exact_div(Fp + Fm, st["F"][kk])
-        if Fk_spec != Fk_rec:
-            raise CrossCheckFailure("F-polynomial recurrence disagrees at k=%d" % k)
         F = list(st["F"])
-        F[kk] = Fk_spec
+        F[kk] = Fk
 
         # g-vector: multidegree plus two recurrence variants
-        gk_deg = self._multidegree(Xk)
         g = st["g"]
         gk1 = [-g[kk][i] for i in range(n)]
         gk2 = [-g[kk][i] for i in range(n)]
@@ -147,16 +142,36 @@ class PrincipalPattern:
             raise CrossCheckFailure("degree-consistency identity fails at k=%d" % k)
         g2 = list(g)
         g2[kk] = gk_deg
+        return {"Btilde": Bt2, "X": tuple(X), "F": tuple(F), "g": tuple(g2)}
 
+    def _exchange(self, st, k, col):
+        """(X_k', F_k', g-vector of X_k') of the exchange at k from st, col
+        being column k of st's extended matrix.
+
+        Runs once per exchange key: both exact divisions, F by
+        specialization and by recurrence, the multidegree and the
+        structural invariants.
+        """
+        n = self.n
+        kk = k - 1
+        plus, minus = lp_exchange_monomials(
+            zip(st["X"] + self._frozen, col), self.vars
+        )
+        Xk = lp_exact_div(plus + minus, st["X"][kk])
+        # F-polynomial: by specialization and independently by recurrence
+        Fk = lp_substitute_monomial(Xk, self._spec)
+        Fp, Fm = lp_exchange_monomials(
+            zip(self._y + st["F"], col[n:] + col[:n]), self.yvars
+        )
+        if Fk != lp_exact_div(Fp + Fm, st["F"][kk]):
+            raise CrossCheckFailure("F-polynomial recurrence disagrees at k=%d" % k)
+        gk = self._multidegree(Xk)
         # structural invariants
         if any(e[n + j] < 0 for e in Xk.terms for j in range(n)):
             raise CrossCheckFailure("negative y-exponent in a cluster variable")
-        if any(v != 0 for v in Fk_spec.min_exponents()):
+        if any(v != 0 for v in Fk.min_exponents()):
             raise CrossCheckFailure("F-polynomial divisible by a y-variable")
-        return {"Btilde": Bt2, "X": tuple(X), "F": tuple(F), "g": tuple(g2)}
-
-    def _specialize(self, X):
-        return lp_substitute_monomial(X, self._spec)
+        return Xk, Fk, gk
 
     def _multidegree(self, X):
         n = self.n
@@ -176,20 +191,18 @@ class PrincipalPattern:
                 raise CrossCheckFailure("cluster variable is not homogeneous")
         return deg
 
+    def _h_value(self, F, kk):
+        """u^h = F|_Trop(u)(u^{[-b_kj]+}, u^{-1} at kk), b the entries of
+        this pattern's B0 and k = kk + 1; memoized per (F, kk)."""
+        key = (F, kk)
+        h = self._hvals.get(key)
+        if h is None:
+            h = self._hvals[key] = tropical_one_var_eval(
+                F, kk, [_pos(-b) for b in self.B0[kk]]
+            )
+        return h
+
     # -- accessors ----------------------------------------------------
-    def c_vectors(self, path):
-        st = self.state(path)
-        n = self.n
-        return tuple(
-            tuple(st["Btilde"][n + j][ell] for j in range(n)) for ell in range(n)
-        )
-
-    def x_value(self, path, ell):
-        return self.state(path)["X"][ell - 1]
-
-    def f_value(self, path, ell):
-        return self.state(path)["F"][ell - 1]
-
     def g_value(self, path, ell):
         return self.state(path)["g"][ell - 1]
 
@@ -385,13 +398,10 @@ def _g_transition(pat0, pat1, k, path, ell):
     g = st0["g"][ell - 1]
     gp = st1["g"][ell - 1]
     kk = k - 1
-    # h'_k from F wrt (B1; t1), h_k from F wrt (B0; t0)
-    hpk = tropical_one_var_eval(
-        st1["F"][ell - 1], kk, [_pos(B0[kk][j]) for j in range(n)]
-    )
-    hk = tropical_one_var_eval(
-        st0["F"][ell - 1], kk, [_pos(-B0[kk][j]) for j in range(n)]
-    )
+    # h'_k from F wrt (B1; t1), h_k from F wrt (B0; t0); B1 = mu_k(B0)
+    # negates row k, so both read [-b_kj]+ of their own pattern's matrix
+    hpk = pat1._h_value(st1["F"][ell - 1], kk)
+    hk = pat0._h_value(st0["F"][ell - 1], kk)
     if g[kk] != -gp[kk]:
         raise CrossCheckFailure("g-transition fails in the mutated direction")
     for i in range(n):
@@ -442,11 +452,8 @@ def _d_g_relation(pat, st, ell, assignments):
 
 
 def seed_signature(st):
-    """A labeled seed up to equality: its extended matrix and cluster texts."""
-    return (
-        st["Btilde"],
-        tuple(lp_canonical_text(x) for x in st["X"]),
-    )
+    """A labeled seed up to equality: its extended matrix and cluster."""
+    return st["Btilde"], st["X"]
 
 
 def enumerate_pattern(B0, max_seeds=500, max_depth=None):
@@ -532,6 +539,25 @@ def conjecture_suite(
     mutated = [_pattern(patterns, mutate_matrix(B0, k)) for k in range(1, n + 1)]
     assignments = _d_g_assignments(pat)
     inv_sub = {v: LaurentPolynomial.var(pat.yvars, v, -1) for v in pat.yvars}
+    # per-variable verdicts, computed once per distinct input and recorded
+    # once per instance: X fixes F and g within pat, so the d/g relation
+    # is keyed by X; the y -> y^{-1} image of a -B0 F-polynomial by itself
+    d_g_verdicts = {}
+    neg_images = {}
+
+    def d_g_verdict(st, ell):
+        X = st["X"][ell]
+        if X not in d_g_verdicts:
+            d_g_verdicts[X] = _d_g_relation(pat, st, ell, assignments)
+        return d_g_verdicts[X]
+
+    def neg_image(Fn):
+        if Fn not in neg_images:
+            Fn_inv = lp_substitute_monomial(Fn, inv_sub)
+            shift = Fn_inv.min_exponents()
+            neg_images[Fn] = Fn_inv.shift(tuple(-a for a in shift))
+        return neg_images[Fn]
+
     for sig, path in seen.items():
         st = pat.state(path)
         at = "path=%s" % (list(path),)
@@ -566,7 +592,7 @@ def conjecture_suite(
                 where,
             )
             # d+g through tropical F (exact statement) and d through F (conjecture)
-            exact, conjectural = _d_g_relation(pat, st, ell, assignments)
+            exact, conjectural = d_g_verdict(st, ell)
             record("d_plus_g_through_F", exact, where)
             if conjectural is not None:
                 record("d_through_F", conjectural, where)
@@ -581,14 +607,9 @@ def conjecture_suite(
         # F under B vs -B
         stn = negpat.state(path)
         for ell in range(n):
-            F = st["F"][ell]
-            Fn = stn["F"][ell]
-            Fn_inv = lp_substitute_monomial(Fn, inv_sub)
-            shift = Fn_inv.min_exponents()
-            normalized = Fn_inv.shift(tuple(-a for a in shift))
             record(
                 "f_B_vs_negB",
-                F == normalized,
+                st["F"][ell] == neg_image(stn["F"][ell]),
                 "%s ell=%d" % (at, ell + 1),
             )
         # transition rules at every direction k

@@ -243,3 +243,37 @@ def test_ysystem_accepts_a_symmetrizable_cartan_matrix(tmp_path, monkeypatch, ca
     monkeypatch.setattr(sys, "argv", ["cluster", "ysystem", "--cartan", str(src), "--steps", "2"])
     cli.run()
     assert capsys.readouterr().out.splitlines()[0] == "y[1;-1] = u1"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mutate", "--path", "1", "--matrix"],
+        ["mutate", "--path", "1", "--btilde"],
+        ["ysystem", "--steps", "2", "--cartan"],
+    ],
+    ids=["matrix", "btilde", "cartan"],
+)
+def test_missing_input_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    missing = tmp_path / "missing.json"
+    monkeypatch.setattr(sys, "argv", ["cluster", *command, str(missing)])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("usage error: %s " % command[-1])
+
+
+def test_input_file_that_is_not_utf8_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "b.json"
+    src.write_bytes(b'\xff\xfe{"B": [[0, 1], [-1, 0]]}')
+    monkeypatch.setattr(sys, "argv", ["cluster", "mutate", "--path", "1", "--matrix", str(src)])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage error: --matrix ")
+    assert len(out.err.splitlines()) == 1

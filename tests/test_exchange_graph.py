@@ -211,6 +211,21 @@ def test_covering_check_renders_each_cluster_variable_once(monkeypatch, other, r
     assert len(calls) == renders
 
 
+@pytest.mark.parametrize("other", ["trivial", "principal"])
+def test_covering_check_mutates_each_edge_once(monkeypatch, other):
+    # D4: 50 seeds, 100 edges; each edge mutates both seeds once, where
+    # mutating every pair in all 4 directions took 400 calls
+    calls = []
+
+    def counting(seed, k):
+        calls.append(k)
+        return mutate_seed_geometric(seed, k)
+
+    monkeypatch.setattr(exchange_graph, "mutate_seed_geometric", counting)
+    assert covering_check(named_matrix("D4"), coeffs_other=other) == (True, None)
+    assert len(calls) == 200
+
+
 def _relabel(seed, pi):
     """The seed whose index i carries the data of index pi[i] of seed."""
     n, Bt = seed.n, seed.Btilde

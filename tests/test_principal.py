@@ -6,14 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusteralg import principal
 from clusteralg.laurent import (
     LaurentPolynomial,
     RationalExpression,
     lp_canonical_text,
     lp_parse,
 )
-from clusteralg.mutation import named_matrix, oracle_walk, rank2_matrix
+from clusteralg.mutation import (
+    initial_geometric_seed,
+    mutate_seed_geometric,
+    named_matrix,
+    oracle_walk,
+    principal_extension,
+    rank2_matrix,
+)
 from clusteralg.principal import (
+    CrossCheckFailure,
     PrincipalPattern,
     conjecture_suite,
     enumerate_pattern,
@@ -298,3 +307,74 @@ def test_conjecture_suite_restricted_paths():
     assert not report["complete"]
     for entry in report["checks"]:
         assert entry["violations"] == []
+
+
+def test_exchange_table_divides_each_relation_once(monkeypatch):
+    # A3's suite walks the patterns of B0, -B0 and each mu_k(B0) and meets
+    # 119 distinct exchange relations, two divisions each; dividing on
+    # every tree edge took 806
+    calls = []
+    divide = principal.lp_exact_div
+
+    def counting(p, q):
+        calls.append(q)
+        return divide(p, q)
+
+    monkeypatch.setattr(principal, "lp_exact_div", counting)
+    conjecture_suite(named_matrix("A3"))
+    assert len(calls) == 238
+
+
+def test_f_cross_check_runs_on_first_sighting(monkeypatch):
+    pat = PrincipalPattern(named_matrix("A3"))
+    pat.state((1, 2))
+    pat.state((3,))
+    substitute = principal.lp_substitute_monomial
+
+    def corrupted(p, values):
+        return substitute(p, values) * 2
+
+    monkeypatch.setattr(principal, "lp_substitute_monomial", corrupted)
+    # mu_1 at (1, 2, 1) is a relation not yet in the table: both routes run
+    with pytest.raises(CrossCheckFailure, match="F-polynomial"):
+        pat.state((1, 2, 1))
+    # b_13 = 0, so mu_3 leaves the relation of mu_1 as it is: (3, 1) is a
+    # table hit that (1,) already checked, and the corrupted route never runs
+    assert pat.state((3, 1))["F"][0] == pat.state((1,))["F"][0]
+
+
+@st.composite
+def skew_symmetrizable(draw):
+    """A rank-2 or rank-3 skew-symmetrizable B whose cluster variables stay
+    small for six mutations.
+
+    Rank 2: [[0, b], [-c, 0]] with bc <= 4 (finite and affine types).
+    Rank 3: B = D S with S skew-symmetric in {-1, 0, 1}, so D^-1 B = S, and
+    one d_i = 2 at most, only on an acyclic S.  Matrices with two products
+    |b_ij b_ji| >= 2, or a 2 on a cycle, can take seconds a step at depth 6.
+    """
+    sign = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        b, c = draw(st.sampled_from(
+            [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)]
+        ))
+        return ((0, sign * b), (-sign * c, 0))
+    s01, s02, s12 = draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3))
+    S = ((0, s01, s02), (-s01, 0, s12), (-s02, -s12, 0))
+    d = [1, 1, 1]
+    if 0 in (s01, s02, s12):
+        d[draw(st.integers(0, 2))] = draw(st.integers(1, 2))
+    return tuple(tuple(d[i] * S[i][j] for j in range(3)) for i in range(3))
+
+
+@given(skew_symmetrizable(), st.lists(st.integers(1, 3), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_pattern_cluster_matches_geometric_mutation(B, path):
+    pat = PrincipalPattern(B)
+    path = [(k - 1) % pat.n + 1 for k in path]
+    seed = initial_geometric_seed(principal_extension(B), pat.vars)
+    for k in path:
+        seed = mutate_seed_geometric(seed, k)
+    st_ = pat.state(path)
+    assert st_["X"] == seed.x
+    assert st_["Btilde"] == seed.Btilde
