@@ -340,7 +340,6 @@ def _belt_primitive_map(U):
     A, eps, h = U["A"], U["eps"], U["h"]
     n = len(A)
     coroot_of = {r: i for i, r in enumerate(U["gen_roots"])}
-    rs = U["root_system"]
     assign = {}
     for m in range(0, 2 * (h + 2)):
         for j in range(1, n + 1):
@@ -364,7 +363,6 @@ def _belt_primitive_map(U):
                 assign[gi] = (j, m)
     if len(assign) != len(U["gen_names"]):
         raise VerificationFailure("belt does not cover all generators")
-    _ = rs
     return assign
 
 

@@ -4,24 +4,46 @@ A polynomial's terms are a dict from exponent tuples to nonzero
 arbitrary-precision Python ints.  The monomial order used for division and
 serialization is graded lexicographic (grlex).
 
-Inside multiplication and exact division, each operand is shifted by its
-minimum exponents so that every exponent is >= 0, and each exponent vector
-is packed into one int: the total degree in the top field, then e_0 ... e_{n-1},
-every field wide enough for the largest total degree plus one guard bit.
-Integer order on packed keys is grlex order, adding two keys multiplies the
-monomials, and a monomial r is divisible by m exactly when subtracting m
-from r with every guard bit set clears none of them.  Division keeps the
-remainder as a dict from packed keys to coefficients plus a max-heap of its
-keys, pruned lazily (Monagan & Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007); only the result is
-unpacked back to tuples.
+Packed keys.  Multiplication, addition and exact division work on packed
+exponent vectors (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  An operand is
+shifted by a base, a componentwise lower bound of its exponents, so every
+exponent is >= 0, and each exponent vector becomes one int: the total degree
+in the top field, then e_0 ... e_{n-1}.  Fields are byte-aligned, 8, 16, 32
+or 64 bits (wider in steps of doubling), the narrowest whose top bit stays
+clear for the largest shifted total degree: that bit is the guard bit.
+There is one shared layout per (n, width), so two packed forms of the same
+width add and multiply key by key.  Integer order on packed keys is grlex
+order, adding two keys multiplies the monomials, and a monomial r is
+divisible by m exactly when subtracting m from r with every guard bit set
+clears none of them.  Unpacking is `int.to_bytes` plus one `map(add, ...)`
+per term.
+
+Lifetime of a packed form.  A product of two polynomials with two or more
+terms each, a power, a sum with a packed operand (the other operand is
+packed into the same layout), and a packed polynomial times a monomial or
+an int hold only their packed form: (layout, base, top degree, {key:
+coefficient}), at least two nonzero terms.  For a product the base is the
+exact minimum and the top degree exact; for a sum they are bounds.
+`lp_exact_div` reads a packed dividend's keys directly, so the dividend
+`plus + minus` of an exchange relation is never unpacked; division keeps
+the remainder as a dict of packed keys plus a lazily pruned max-heap and
+unpacks only the quotient.
+
+When `terms` materializes.  `terms` of a packed polynomial is built on its
+first read (by `__getattr__`) and kept beside the packed form: equality,
+hashing, text, JSON, substitution, `min_exponents` and everything outside
+this kernel read it.  A polynomial built from a term dict has `terms` from
+the start and no packed form.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import random
 import re
+import sys
 from operator import add, mul, sub
 
 
@@ -37,35 +59,70 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+# native memoryview formats of the field widths that fit a machine word
+_FORMATS = {16: "H", 32: "I", 64: "Q"}
+
+
 class _Packing:
-    """Packed-key layout for n exponents >= 0 of total degree <= top."""
+    """Packed-key layout for n exponents >= 0 in fields of `width` bits."""
 
-    __slots__ = ("weights", "shifts", "mask", "guard")
+    __slots__ = ("n", "width", "weights", "guard", "nbytes")
 
-    def __init__(self, n, top):
-        bits = top.bit_length()
-        width = bits + 1
-        self.shifts = tuple(range((n - 1) * width, -1, -width))
+    def __init__(self, n, width):
+        shifts = tuple(range((n - 1) * width, -1, -width))
+        self.n = n
+        self.width = width
         # pack(e) = sum(e_i * weight_i) is linear, so it also packs e - base
         # as pack(e) - pack(base); the degree field collects every e_i.
-        self.weights = tuple((1 << s) + (1 << (n * width)) for s in self.shifts)
-        self.mask = (1 << bits) - 1
-        self.guard = sum(1 << (s + bits) for s in self.shifts + (n * width,))
+        self.weights = tuple((1 << s) + (1 << (n * width)) for s in shifts)
+        self.guard = sum(1 << (s + width - 1) for s in shifts + (n * width,))
+        self.nbytes = (n + 1) * width // 8
 
     def pack(self, terms, base):
-        """[(key of e - base, c)] for the (e, c) of a term dict."""
+        """{key of e - base: c} for the (e, c) of a term dict."""
         w = self.weights
         b = sum(map(mul, base, w))
-        return [(sum(map(mul, e, w)) - b, c) for e, c in terms.items()]
+        return {sum(map(mul, e, w)) - b: c for e, c in terms.items()}
 
-    def unpack(self, packed, offset):
-        """{e + offset: c} for the (key of e, c) pairs with c != 0."""
-        shifts, mask = self.shifts, self.mask
+    def unpack(self, items, offset):
+        """{e + offset: c} for the (key of e, c) pairs in items."""
+        n, width, nbytes = self.n, self.width, self.nbytes
+        if width == 8:
+            # big-endian bytes: the degree field, then e_0 ... e_{n-1}
+            return {
+                tuple(map(add, k.to_bytes(nbytes, "big")[1:], offset)): c
+                for k, c in items
+            }
+        fmt = _FORMATS.get(width)
+        if fmt is None:
+            mask = (1 << width) - 1
+            shifts = range((n - 1) * width, -1, -width)
+            return {
+                tuple(((k >> s) & mask) + o for s, o in zip(shifts, offset)): c
+                for k, c in items
+            }
+        # native order: the little end holds e_{n-1} first, the big end
+        # the degree field first
+        order = sys.byteorder
+        fields = slice(n - 1, None, -1) if order == "little" else slice(1, None)
         return {
-            tuple(((k >> s) & mask) + o for s, o in zip(shifts, offset)): c
-            for k, c in packed
-            if c
+            tuple(map(add, memoryview(k.to_bytes(nbytes, order)).cast(fmt)[fields], offset)): c
+            for k, c in items
         }
+
+
+_LAYOUTS = {}
+
+
+def _layout(n, top):
+    """The shared layout of n exponents with shifted total degree <= top."""
+    width = 8
+    while top >> (width - 1):
+        width <<= 1
+    layout = _LAYOUTS.get((n, width))
+    if layout is None:
+        layout = _LAYOUTS[n, width] = _Packing(n, width)
+    return layout
 
 
 def _top_degree(p, mins):
@@ -73,10 +130,37 @@ def _top_degree(p, mins):
     return max(map(sum, p.terms)) - sum(mins)
 
 
-class LaurentPolynomial:
-    """Immutable Laurent polynomial over a fixed tuple of variable names."""
+def _frame(p):
+    """(base, top): p's packed base and top degree, or else its minimum
+    exponents and its top degree shifted by them."""
+    pk = p._packed
+    if pk is not None:
+        return pk[1], pk[2]
+    base = p.min_exponents()
+    return base, _top_degree(p, base)
 
-    __slots__ = ("vars", "terms", "_hash")
+
+def _packed_items(p, layout, base):
+    """{key of e - base: c} over p's terms in layout, base <= p's base.
+
+    A packed p of this layout gives its own dict (read only) or a copy with
+    every key moved by one constant; any other p is packed from its terms.
+    """
+    pk = p._packed
+    if pk is not None and pk[0] is layout:
+        s = sum(map(mul, map(sub, pk[1], base), layout.weights))
+        return {k + s: c for k, c in pk[3].items()} if s else pk[3]
+    return layout.pack(p.terms, base)
+
+
+class LaurentPolynomial:
+    """Immutable Laurent polynomial over a fixed tuple of variable names.
+
+    A packed polynomial (see the module docstring) leaves the `terms` slot
+    unset until it is first read.
+    """
+
+    __slots__ = ("vars", "terms", "_hash", "_packed")
 
     def __init__(self, variables, terms):
         self.vars = tuple(variables)
@@ -86,6 +170,7 @@ class LaurentPolynomial:
                 clean[tuple(e)] = c
         self.terms = clean
         self._hash = None
+        self._packed = None
 
     @classmethod
     def _of(cls, variables, terms):
@@ -94,7 +179,25 @@ class LaurentPolynomial:
         p.vars = variables
         p.terms = terms
         p._hash = None
+        p._packed = None
         return p
+
+    @classmethod
+    def _of_packed(cls, variables, layout, base, top, items):
+        """Wrap a packed form of two or more nonzero terms, no copy."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p._hash = None
+        p._packed = (layout, base, top, items)
+        return p
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: the terms of a packed polynomial
+        if name != "terms":
+            raise AttributeError(name)
+        layout, base, _, items = self._packed
+        terms = self.terms = layout.unpack(items.items(), base)
+        return terms
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -117,18 +220,18 @@ class LaurentPolynomial:
         e[i] = power
         return cls(variables, {tuple(e): 1})
 
-    # -- basics -------------------------------------------------------
+    # -- basics (a packed polynomial has two or more terms) -----------
     def is_zero(self):
-        return not self.terms
+        return self._packed is None and not self.terms
 
     def is_one(self):
-        return len(self.terms) == 1 and self.terms.get((0,) * len(self.vars)) == 1
+        return self.is_monomial() and self.terms.get((0,) * len(self.vars)) == 1
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return self._packed is None and len(self.terms) == 1
 
     def __bool__(self):
-        return bool(self.terms)
+        return not self.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -148,15 +251,37 @@ class LaurentPolynomial:
         if isinstance(other, int):
             other = LaurentPolynomial.const(self.vars, other)
         self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c
-        return LaurentPolynomial(self.vars, t)
+        a, b = (self, other) if other._packed is None else (other, self)
+        if a._packed is None:
+            t = dict(a.terms)
+            for e, c in b.terms.items():
+                t[e] = t.get(e, 0) + c
+            return LaurentPolynomial(self.vars, t)
+        if b.is_zero():
+            return a
+        ba, ta = _frame(a)
+        bb, tb = _frame(b)
+        base = tuple(map(min, ba, bb))
+        top = max(ta + sum(ba), tb + sum(bb)) - sum(base)
+        layout = _layout(len(base), top)
+        t = _packed_items(a, layout, base)
+        if t is a._packed[3]:
+            t = dict(t)  # never write to a shared packed form
+        get = t.get
+        for k, c in _packed_items(b, layout, base).items():
+            c += get(k, 0)
+            if c:
+                t[k] = c
+            else:
+                del t[k]
+        if len(t) > 1:
+            return LaurentPolynomial._of_packed(self.vars, layout, base, top, t)
+        return LaurentPolynomial._of(self.vars, layout.unpack(t.items(), base))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -167,33 +292,53 @@ class LaurentPolynomial:
         if isinstance(other, int):
             if not other:
                 return LaurentPolynomial._of(self.vars, {})
+            pk = self._packed
+            if pk is not None:
+                layout, base, top, items = pk
+                return LaurentPolynomial._of_packed(
+                    self.vars, layout, base, top, {k: c * other for k, c in items.items()}
+                )
             return LaurentPolynomial._of(
                 self.vars, {e: c * other for e, c in self.terms.items()}
             )
         self._check(other)
         a, b = self, other
-        if len(a.terms) == 1:
+        if a.is_monomial():
             a, b = b, a
-        if len(b.terms) == 1:
+        if b.is_monomial():
             # monomial factor: shift and scale, no two terms can meet
             ((e2, c2),) = b.terms.items()
+            pk = a._packed
+            if pk is not None:
+                layout, base, top, items = pk
+                if c2 != 1:
+                    items = {k: c * c2 for k, c in items.items()}
+                return LaurentPolynomial._of_packed(
+                    self.vars, layout, tuple(map(add, base, e2)), top, items
+                )
             return LaurentPolynomial._of(
                 self.vars,
                 {tuple(map(add, e, e2)): c * c2 for e, c in a.terms.items()},
             )
-        if not a.terms or not b.terms:
+        if a.is_zero() or b.is_zero():
             return LaurentPolynomial._of(self.vars, {})
-        ma, mb = a.min_exponents(), b.min_exponents()
-        layout = _Packing(len(self.vars), _top_degree(a, ma) + _top_degree(b, mb))
-        pb = layout.pack(b.terms, mb)
+        ba, ta = _frame(a)
+        bb, tb = _frame(b)
+        layout = _layout(len(ba), ta + tb)
+        pb = list(_packed_items(b, layout, bb).items())
         t = {}
         get = t.get
-        for ka, ca in layout.pack(a.terms, ma):
+        for ka, ca in _packed_items(a, layout, ba).items():
             for kb, cb in pb:
                 k = ka + kb
                 t[k] = get(k, 0) + ca * cb
-        offset = tuple(map(add, ma, mb))
-        return LaurentPolynomial._of(self.vars, layout.unpack(t.items(), offset))
+        if 0 in t.values():
+            t = {k: c for k, c in t.items() if c}
+        # leading and trailing terms never cancel: two or more terms remain,
+        # and the base and top degree are exact
+        return LaurentPolynomial._of_packed(
+            self.vars, layout, tuple(map(add, ba, bb)), ta + tb, t
+        )
 
     __rmul__ = __mul__
 
@@ -232,9 +377,6 @@ class LaurentPolynomial:
     def constant_term(self):
         return self.terms.get((0,) * len(self.vars), 0)
 
-    def total_degrees(self):
-        return [sum(e) for e in self.terms]
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
@@ -246,21 +388,30 @@ def lp_exact_div(p, q):
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return p
-    if len(q.terms) == 1:
+    pk = p._packed
+    if q.is_monomial():
         ((qe, qc),) = q.terms.items()
-        quot = {}
-        for e, c in p.terms.items():
-            if c % qc:
-                raise NonExactDivision("non-exact division")
-            quot[tuple(map(sub, e, qe))] = c // qc
-        return LaurentPolynomial._of(p.vars, quot)
-    mp, mq = p.min_exponents(), q.min_exponents()
-    layout = _Packing(len(p.vars), max(_top_degree(p, mp), _top_degree(q, mq)))
+        items = p.terms if pk is None else pk[3]
+        if any(c % qc for c in items.values()):
+            raise NonExactDivision("non-exact division")
+        if pk is None:
+            return LaurentPolynomial._of(
+                p.vars, {tuple(map(sub, e, qe)): c // qc for e, c in items.items()}
+            )
+        layout, base, top, _ = pk
+        if qc != 1:
+            items = {k: c // qc for k, c in items.items()}
+        return LaurentPolynomial._of_packed(
+            p.vars, layout, tuple(map(sub, base, qe)), top, items
+        )
+    mp, tp = _frame(p)
+    mq = q.min_exponents()
+    layout = _layout(len(mp), max(tp, _top_degree(q, mq)))
     guard = layout.guard
-    Q = sorted(layout.pack(q.terms, mq), reverse=True)
+    Q = sorted(layout.pack(q.terms, mq).items(), reverse=True)
     lead, qc = Q[0]
     tail = Q[1:]
-    rem = dict(layout.pack(p.terms, mp))
+    rem = dict(_packed_items(p, layout, mp))
     heap = [-k for k in rem]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -449,11 +600,35 @@ def lp_from_json(text, variables):
     )
 
 
+_P61 = (1 << 61) - 1
+_HASH_POINTS = {}
+
+
+def _fingerprint(p):
+    """p modulo 2^61 - 1 at a fixed pseudo-random point of n coordinates."""
+    n = len(p.vars)
+    point = _HASH_POINTS.get(n)
+    if point is None:
+        rng = random.Random(_P61)
+        point = _HASH_POINTS[n] = tuple(rng.randrange(2, _P61) for _ in range(n))
+    s = 0
+    for e, c in p.terms.items():
+        for x, a in zip(point, e):
+            if a:
+                c = c * pow(x, a, _P61) % _P61
+        s += c
+    return s % _P61
+
+
 class RationalExpression:
     """Quotient of Laurent polynomials; equality via cross-multiplication.
 
     Normalization is deliberately gcd-free: we strip common monomial and
-    integer content and trial-divide by any supplied factor hints.
+    integer content and trial-divide by any supplied factor hints.  So the
+    hash is not taken from the normalized pair, which equal values need not
+    share, but from num * den^-1 at a fixed point modulo 2^61 - 1 (Schwartz
+    1980), one constant where den vanishes there.  Equal values hash alike
+    unless a common factor of num and den vanishes at the point.
     """
 
     __slots__ = ("num", "den", "factor_hints")
@@ -579,22 +754,14 @@ class RationalExpression:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        s = self.simplify()
-        return hash((s.num, s.den))
+        # equal values give equal num * den^-1 wherever den is nonzero
+        den = _fingerprint(self.den)
+        if not den:
+            return hash((self.vars, None))
+        return hash((self.vars, _fingerprint(self.num) * pow(den, -1, _P61) % _P61))
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_laurent(self):
-        s = self.simplify()
-        return s.den.is_one()
-
-    def as_laurent(self):
-        s = self.simplify()
-        if not s.den.is_one():
-            p = lp_exact_div(s.num, s.den)
-            return p
-        return s.num
 
     def text(self):
         s = self.simplify()

@@ -12,7 +12,6 @@ from collections import Counter
 from math import gcd, lcm
 
 from .laurent import LaurentPolynomial, lp_exact_div, lp_exchange_monomials
-from .semifield import TropicalSemifield
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -40,10 +39,6 @@ def _direction(k, n):
 
 def _pos(a):
     return a if a > 0 else 0
-
-
-def _sgn(a):
-    return (a > 0) - (a < 0)
 
 
 def matrix(rows):
@@ -133,31 +128,31 @@ def skew_symmetrizer(B):
 def mutate_matrix(M, k):
     """Matrix mutation in direction k (1-based), applied to all m rows.
 
-    Both standard formulas are computed and asserted equal.
+    Both standard formulas are computed and asserted equal on every row
+    with b_ik != 0; neither changes a row with b_ik = 0.
     """
-    m = len(M)
     n = len(M[0])
     kk = _direction(k, n)
-    out1 = []
-    out2 = []
-    for i in range(m):
-        row1 = []
-        row2 = []
-        for j in range(n):
-            b = M[i][j]
-            if i == kk or j == kk:
-                row1.append(-b)
-                row2.append(-b)
-            else:
-                bik = M[i][kk]
-                bkj = M[kk][j]
-                row1.append(b + _sgn(bik) * _pos(bik * bkj))
-                row2.append(b + _pos(-bik) * bkj + bik * _pos(bkj))
-        out1.append(tuple(row1))
-        out2.append(tuple(row2))
-    if out1 != out2:
-        raise AssertionError("matrix mutation formulas disagree")
-    return tuple(out1)
+    rowk = M[kk]
+    out = []
+    for i, row in enumerate(M):
+        bik = row[kk]
+        if i == kk:
+            out.append(tuple(-b for b in row))
+            continue
+        if not bik:
+            out.append(tuple(row))
+            continue
+        # b_ij + sgn(b_ik) [b_ik b_kj]+  and  b_ij + [-b_ik]+ b_kj + b_ik [b_kj]+
+        sgn = 1 if bik > 0 else -1
+        neg = -bik if bik < 0 else 0
+        row1 = [b + (sgn * p if (p := bik * bkj) > 0 else 0) for b, bkj in zip(row, rowk)]
+        row2 = [b + neg * bkj + (bik * bkj if bkj > 0 else 0) for b, bkj in zip(row, rowk)]
+        if row1 != row2:
+            raise AssertionError("matrix mutation formulas disagree")
+        row1[kk] = -bik
+        out.append(tuple(row1))
+    return tuple(out)
 
 
 class LabeledYSeed:
@@ -216,15 +211,6 @@ class LabeledSeedGeometric:
         e = [0] * len(self.vars)
         e[i] = 1
         return LaurentPolynomial.monomial(self.vars, e)
-
-    def tropical_y(self):
-        """Coefficient tuple read off the bottom rows, in Trop(frozen vars)."""
-        frozen = self.vars[self.n:]
-        S = TropicalSemifield(frozen)
-        ys = []
-        for j in range(self.n):
-            ys.append(S.monomial(tuple(self.Btilde[i][j] for i in range(self.n, len(self.vars)))))
-        return LabeledYSeed(ys, principal_part(self.Btilde, self.n), S)
 
 
 def initial_geometric_seed(Btilde, variables=None):

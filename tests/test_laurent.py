@@ -91,9 +91,11 @@ def edge_factor(draw, n, offset, degree):
 
 @st.composite
 def edge_pairs(draw):
-    """(a, b) whose product has top shifted degree 2^k - 1 or 2^k."""
+    """(a, b) whose product has top shifted degree 2^k - 1 or 2^k: small
+    degrees, and the 8/16/32/64-bit field boundaries 127/128, 32767/32768,
+    2^31 - 1/2^31 and 2^63 - 1/2^63."""
     n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 6))
+    k = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 15, 31, 63)))
     total = (1 << k) - draw(st.integers(0, 1))
     da = draw(st.integers(1, total - 1)) if total > 1 else 1
     offsets = st.tuples(*[st.integers(-40, 40)] * n)
@@ -143,6 +145,84 @@ def test_division_undoes_multiplication_across_field_widths(ab):
     assert lp_exact_div(p * q, q) == p
     if not p.is_zero():
         assert lp_exact_div(p * q, p) == q
+
+
+def naive_sum(p, q):
+    """Reference sum on exponent tuples, no packing."""
+    t = dict(p.terms)
+    for e, c in q.terms.items():
+        t[e] = t.get(e, 0) + c
+    return LaurentPolynomial(p.vars, t)
+
+
+@st.composite
+def chain_quads(draw):
+    """Four polynomials in 1..6 variables whose degrees put their products
+    in different field widths, so packed and eager operands of different
+    widths meet."""
+    n = draw(st.integers(1, 6))
+    offsets = st.tuples(*[st.integers(-40, 40)] * n)
+    degrees = st.sampled_from((1, 2, 5, 63, 64, 120, 127, 128, 200))
+    return tuple(draw(edge_factor(n, draw(offsets), draw(degrees))) for _ in range(4))
+
+
+@given(chain_quads())
+@settings(max_examples=60, deadline=None)
+def test_packed_chains_match_naive_arithmetic(abcd):
+    a, b, c, d = abcd
+    ab, cd = naive_product(a, b), naive_product(c, d)
+    assert (a * b) * c == naive_product(ab, c)
+    assert c * (a * b) == naive_product(ab, c)
+    assert a * b + c * d == naive_sum(ab, cd)
+    assert a * b - c * d == naive_sum(ab, naive_product(cd, LaurentPolynomial.const(a.vars, -1)))
+    # a packed operand meets an eager one, possibly of another width
+    assert a * b + c == naive_sum(ab, c)
+    assert c + a * b == naive_sum(ab, c)
+    assert (a * b) * 3 * d == naive_product(naive_product(ab, d), LaurentPolynomial.const(a.vars, 3))
+    assert lp_exact_div(a * b + a * c, a) == naive_sum(b, c)
+    assert lp_exact_div(a * b * c, a * b) == c
+    # cancelling sums fall back to fewer terms
+    assert (a * b + c) - a * b == c
+    assert (a * b - naive_product(a, b)).is_zero()
+
+
+def test_exchange_dividend_is_divided_without_unpacking():
+    x = lp_parse("x + 1", VARS)
+    y = lp_parse("y^2 + x*y + 1", VARS)
+    dividend = x * y + x * x * x
+    assert lp_exact_div(dividend, x) == naive_sum(y, naive_product(x, x))
+    # the terms slot of the packed dividend is still unset
+    with pytest.raises(AttributeError):
+        LaurentPolynomial.terms.__get__(dividend)
+    assert dividend == naive_sum(naive_product(x, y), naive_product(naive_product(x, x), x))
+
+
+def boundary_factors(n, degree, offset):
+    """x^offset * (1 + x_{i}^degree + a few mixed terms) for i < n: minimum
+    exponents offset and top shifted degree exactly `degree`."""
+    for i in range(n):
+        terms = {(0,) * n: 1 + i % 3, tuple(degree if j == i else 0 for j in range(n)): 2}
+        mixed = tuple((j + i) % 3 for j in range(n))
+        if 0 < sum(mixed) < degree:
+            terms[mixed] = -1
+        shifted = {tuple(a + offset for a in e): c for e, c in terms.items()}
+        yield LaurentPolynomial(tuple("v%d" % j for j in range(n)), shifted)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("top", (126, 127, 128, 129))
+def test_products_and_divisions_on_the_8_to_16_bit_boundary(top):
+    for n in range(1, 13):
+        for da in (1, top // 2, top - 1):
+            for a in boundary_factors(n, da, -3):
+                for b in boundary_factors(n, top - da, 2):
+                    p = a * b
+                    assert p == naive_product(a, b)
+                    assert lp_exact_div(p, a) == b
+                    assert lp_exact_div(p, b) == a
+                    lead = LaurentPolynomial(p.vars, {p.sorted_terms()[0][0]: 1})
+                    with pytest.raises(NonExactDivision):
+                        lp_exact_div(p + lead, a * lead * lead)
 
 
 @given(pairs, st.integers(2, 9), st.integers(-40, 40))
@@ -229,6 +309,21 @@ def test_rational_equality_is_cross_multiplication(p, q, r):
     b = RationalExpression(p, q)
     assert a == b
     assert a.simplify() == b
+
+
+def test_equal_rational_expressions_hash_alike():
+    a = LaurentPolynomial.var(VARS, "x")
+    b = LaurentPolynomial.var(VARS, "y")
+    r = RationalExpression(a * a - b * b, a - b)
+    s = RationalExpression.from_poly(a + b)
+    assert r == s
+    assert len({r, s}) == 1
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=50)
+def test_rational_hash_ignores_a_common_factor(p, q, r):
+    assert hash(RationalExpression(p * r, q * r)) == hash(RationalExpression(p, q))
 
 
 def test_rational_arithmetic():

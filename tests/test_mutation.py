@@ -53,6 +53,38 @@ def test_matrix_mutation_is_an_involution(B, k):
     )
 
 
+def reference_mutation(M, k):
+    """b'_ij = -b_ij if i = k or j = k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+    kk = k - 1
+    return tuple(
+        tuple(
+            -b if kk in (i, j) else b + (abs(row[kk]) * M[kk][j] + row[kk] * abs(M[kk][j])) // 2
+            for j, b in enumerate(row)
+        )
+        for i, row in enumerate(M)
+    )
+
+
+@st.composite
+def extended_matrices(draw):
+    """A skew-symmetric 2x2 or 3x3 exchange matrix with 1-3 frozen rows."""
+    n = draw(st.integers(2, 3))
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            B[i][j] = draw(st.integers(-3, 3))
+            B[j][i] = -B[i][j]
+    frozen = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3))
+    return tuple(tuple(row) for row in B + frozen)
+
+
+@given(extended_matrices(), st.integers(1, 3))
+def test_extended_matrix_mutation_matches_reference_rule(M, k):
+    k = min(k, len(M[0]))
+    assert mutate_matrix(M, k) == reference_mutation(M, k)
+    assert mutate_matrix(mutate_matrix(M, k), k) == M
+
+
 @given(skew_matrices, st.integers(1, 3))
 def test_matrix_mutation_preserves_skew_symmetrizer(B, k):
     d = skew_symmetrizer(B)
