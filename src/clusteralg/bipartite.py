@@ -12,6 +12,7 @@ from .mutation import (
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     matrix,
+    positive_definite,
     tree_symmetrizer,
 )
 from .principal import CrossCheckFailure, PrincipalPattern, seed_signature
@@ -94,30 +95,6 @@ def _t_matrix(A, eps, sign):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def _pd_check(A, d):
-    from fractions import Fraction
-
-    n = len(A)
-    S = [[Fraction(d[i] * A[i][j]) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        M = [row[:k] for row in S[:k]]
-        det = Fraction(1)
-        for c in range(k):
-            piv = next((r for r in range(c, k) if M[r][c]), None)
-            if piv is None:
-                return False
-            if piv != c:
-                M[c], M[piv] = M[piv], M[c]
-                det = -det
-            det *= M[c][c]
-            for r in range(c + 1, k):
-                f = M[r][c] / M[c][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-        if det <= 0:
-            return False
-    return True
-
-
 def cartan_symmetrizer(A):
     """Minimal positive integers d with d_i a_ij = d_j a_ji."""
     d = tree_symmetrizer(A, 1)
@@ -141,7 +118,7 @@ def coxeter_data(A, cap=1000):
             h = r
             break
         P = _mat_mul(P, C)
-    finite = _pd_check(A, cartan_symmetrizer(A))
+    finite = positive_definite(A, cartan_symmetrizer(A))
     return {"eps": eps, "t_plus": tp, "t_minus": tm, "h": h, "finite_type": finite}
 
 
@@ -188,12 +165,10 @@ class Belt:
         """Cluster variable x_{i;m}; requires eps(i) = (-1)^m."""
         if self.eps[i - 1] != (1 if m % 2 == 0 else -1):
             raise ValueError("x_{i;m} requires eps(i) = (-1)^m")
-        return self.state(m)["X"][i - 1]
+        return self.state(m).X[i - 1]
 
     def c_vector(self, j, m):
-        st = self.state(m)
-        n = self.n
-        return tuple(st["Btilde"][n + r][j - 1] for r in range(n))
+        return self.state(m).c_vector(j)
 
     def y_jm_tracked(self, j, m):
         """Tropical value of y_{j;m} (requires eps(j) = (-1)^(m-1))."""
@@ -203,30 +178,7 @@ class Belt:
 
     def y_universal(self, j, m):
         """Universal-semifield y_{j;m} from the factored representation."""
-        st = self.state(m)
-        n = self.n
-        yvars = self.pattern.yvars
-        one = LaurentPolynomial.const(yvars, 1)
-        num = one
-        den = one
-        for r in range(n):
-            c = st["Btilde"][n + r][j - 1]
-            yv = LaurentPolynomial.var(yvars, yvars[r])
-            if c > 0:
-                num = num * yv ** c
-            elif c < 0:
-                den = den * yv ** (-c)
-        hints = []
-        for i in range(n):
-            b = st["Btilde"][i][j - 1]
-            F = st["F"][i]
-            if b > 0:
-                num = num * F ** b
-            elif b < 0:
-                den = den * F ** (-b)
-            if not F.is_one():
-                hints.append(F)
-        return RationalExpression(num, den, hints)
+        return self.pattern.y_value(self.path(m), j)
 
     def verify_parity(self, m):
         """x and y parity relations between consecutive belt seeds."""
@@ -235,7 +187,7 @@ class Belt:
         n = self.n
         par = 1 if m % 2 == 0 else -1
         for i in range(n):
-            if self.eps[i] == par and st0["X"][i] != st1["X"][i]:
+            if self.eps[i] == par and st0.X[i] != st1.X[i]:
                 raise CrossCheckFailure("x-parity fails at i=%d m=%d" % (i + 1, m))
         ypar = 1 if (m - 1) % 2 == 0 else -1
         for j in range(n):

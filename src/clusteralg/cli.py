@@ -69,7 +69,8 @@ def _load_b(type_name, matrix_file, rank2, btilde_file=None):
 def _load_cartan(path):
     """The symmetrizable generalized Cartan matrix in a JSON file {"A": rows}:
     integer entries, a diagonal of 2, off-diagonal entries <= 0, a_ij = 0
-    exactly when a_ji = 0, and positive d_i with d_i a_ij = d_j a_ji."""
+    exactly when a_ji = 0, positive d_i with d_i a_ij = d_j a_ji, and a
+    bipartite Coxeter graph."""
     text = _read(path, "--cartan")
     try:
         rows = json.loads(text)["A"]
@@ -94,6 +95,10 @@ def _load_cartan(path):
                 )
     if mutation.tree_symmetrizer(A, 1) is None:
         raise UsageError("--cartan matrix is not symmetrizable")
+    try:
+        mutation.bipartite_sign_from_cartan(A)
+    except ValueError:
+        raise UsageError("--cartan matrix has a Coxeter graph that is not bipartite")
     return A
 
 
@@ -167,27 +172,27 @@ def _walk_text(B0, path):
         prefix = path[:t]
         st = pat.state(prefix)
         lines.append("t=%d" % t)
-        lines.append("Btilde = %s" % json.dumps([list(r) for r in st["Btilde"]]))
+        lines.append("Btilde = %s" % json.dumps([list(r) for r in st.Btilde]))
         for j in range(n):
-            c = tuple(st["Btilde"][n + r][j] for r in range(n))
+            c = st.c_vector(j + 1)
             lines.append("y[%d] = %s" % (j + 1, _trop_text(c, yvars)))
         for j in range(n):
             lines.append(
-                "X[%d] = %s" % (j + 1, _poly_fraction_text(st["X"][j], pat.vars))
+                "X[%d] = %s" % (j + 1, _poly_fraction_text(st.X[j], pat.vars))
             )
         for j in range(n):
-            lines.append("F[%d] = %s" % (j + 1, lp_canonical_text(st["F"][j])))
+            lines.append("F[%d] = %s" % (j + 1, lp_canonical_text(st.F[j])))
         yhat = pat.y_hat(())
         mapping = {yvars[r]: yhat[r] for r in range(n)}
         for j in range(n):
-            sub = lp_substitute_monomial(st["F"][j], mapping)
+            sub = lp_substitute_monomial(st.F[j], mapping)
             lines.append(
                 "Fhat[%d] = %s" % (j + 1, _poly_fraction_text(sub, pat.vars))
             )
         for j in range(n):
-            lines.append("FP[%d] = %s" % (j + 1, _oplus_text(st["F"][j])))
+            lines.append("FP[%d] = %s" % (j + 1, _oplus_text(st.F[j])))
         for j in range(n):
-            lines.append("g[%d] = %s" % (j + 1, str(st["g"][j])))
+            lines.append("g[%d] = %s" % (j + 1, str(st.g[j])))
         for j in range(n):
             lines.append("d[%d] = %s" % (j + 1, str(pat.d_value(prefix, j + 1))))
         lines.append("")
@@ -222,12 +227,12 @@ def f_poly(type_name, matrix_file, rank2, path_text, as_json, out):
         from .laurent import lp_to_json
 
         _emit(
-            json.dumps({"F": [lp_to_json(f) for f in st["F"]]}, sort_keys=True) + "\n",
+            json.dumps({"F": [lp_to_json(f) for f in st.F]}, sort_keys=True) + "\n",
             out,
         )
         return
     lines = [
-        "F[%d] = %s" % (j + 1, lp_canonical_text(st["F"][j])) for j in range(pat.n)
+        "F[%d] = %s" % (j + 1, lp_canonical_text(st.F[j])) for j in range(pat.n)
     ]
     _emit("\n".join(lines) + "\n", out)
 
@@ -243,7 +248,7 @@ def g_vector(type_name, matrix_file, rank2, path_text, out):
     B, _ = _load_b(type_name, matrix_file, rank2)
     pat = PrincipalPattern(B)
     st = pat.state(_parse_path(path_text))
-    lines = ["g[%d] = %s" % (j + 1, str(st["g"][j])) for j in range(pat.n)]
+    lines = ["g[%d] = %s" % (j + 1, str(st.g[j])) for j in range(pat.n)]
     _emit("\n".join(lines) + "\n", out)
 
 

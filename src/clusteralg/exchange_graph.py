@@ -17,6 +17,7 @@ from .mutation import (
     matrix,
     mutate_matrix,
     mutate_seed_geometric,
+    positive_definite,
     principal_extension,
     principal_part,
     skew_symmetrizer,
@@ -268,49 +269,15 @@ class Inconclusive(RuntimeError):
     pass
 
 
-def _symmetrized_cartan(B):
-    A, _ = cartan_counterpart_and_sign(B)
-    d = skew_symmetrizer(B)
-    n = len(B)
-    return tuple(tuple(d[i] * A[i][j] for j in range(n)) for i in range(n))
-
-
-def _leading_minors_positive(S):
-    from fractions import Fraction
-
-    n = len(S)
-    for k in range(1, n + 1):
-        M = [[Fraction(S[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        for c in range(k):
-            piv = None
-            for r in range(c, k):
-                if M[r][c]:
-                    piv = r
-                    break
-            if piv is None:
-                return False
-            if piv != c:
-                M[c], M[piv] = M[piv], M[c]
-                det = -det
-            det *= M[c][c]
-            for r in range(c + 1, k):
-                f = M[r][c] / M[c][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-        if det <= 0:
-            return False
-    return True
-
-
 def is_finite_type(B, cap=10 ** 5):
     """Finite type decision: positive-definiteness of the symmetrized
     Cartan counterpart when B is bipartite, seed BFS otherwise; the two
     routes are compared whenever both terminate."""
     B = matrix(B)
-    _, eps = cartan_counterpart_and_sign(B)
+    A, eps = cartan_counterpart_and_sign(B)
     pd = None
     if eps is not None:
-        pd = _leading_minors_positive(_symmetrized_cartan(B))
+        pd = positive_definite(A, skew_symmetrizer(B))
     bfs = None
     if pd is None or pd:
         try:

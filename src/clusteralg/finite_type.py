@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from .bipartite import (
     Belt,
-    _pd_check,
     _positive_roots,
     cartan_symmetrizer,
     coxeter_data,
@@ -21,6 +20,7 @@ from .mutation import (
     matrix,
     mutate_seed_geometric,
     mutate_y,
+    positive_definite,
 )
 from .principal import CrossCheckFailure
 from .semifield import TrivialSemifield, TropicalSemifield
@@ -57,7 +57,7 @@ def root_system_build(A):
     A = matrix(A)
     n = len(A)
     d = cartan_symmetrizer(A)
-    if not _pd_check(A, d):
+    if not positive_definite(A, d):
         raise NotFiniteType("symmetrization is not positive definite")
     cox = coxeter_data(A)
     positives = _positive_roots(A)
@@ -131,7 +131,7 @@ def fibonacci_polynomials(B, m_range=None):
         for ell in range(1, n + 1):
             if eps[ell - 1] != (1 if m % 2 == 0 else -1):
                 continue
-            F = belt.pattern.state(belt.path(m))["F"][ell - 1]
+            F = belt.pattern.state(belt.path(m)).F[ell - 1]
             dv = orbit_vector(A, eps, ell - 1, m, tau_action)
             mon = [0] * n
             for j in range(n):
@@ -206,16 +206,6 @@ def fibonacci_recurrence_check(B, fib=None, m_range=None):
 # -- universal coefficients -----------------------------------------------
 
 
-def _dual_tau(A, eps, sign, w):
-    """Coordinate action on coroots: transpose-Cartan piecewise-linear tau."""
-    n = len(A)
-    out = list(w)
-    for j in range(n):
-        if eps[j] == sign:
-            out[j] = -w[j] - sum(A[i][j] * _pos(w[i]) for i in range(n) if i != j)
-    return tuple(out)
-
-
 def universal_build(B, periods=2):
     """Universal tropical coefficient system over generators labeled by
     almost positive coroots, with the belt solution computed two ways."""
@@ -243,7 +233,8 @@ def universal_build(B, periods=2):
     from .bipartite import y_system_solve
 
     vals = y_system_solve(A, S, steps=2 * steps, initial_values=initial, eps=eps)
-    # closed form via the dual piecewise-linear action
+    # closed form via the piecewise-linear action of the transpose on coroots
+    AT = tuple(zip(*A))
     for (j, m), direct in vals.items():
         if m < 0:
             r = -m - 1
@@ -255,7 +246,7 @@ def universal_build(B, periods=2):
             v = w
             s = sign0
             for _ in range(r):
-                v = _dual_tau(A, eps, s, v)
+                v = tau_action(AT, eps, s, v)
                 s = -s
             exps.append(-v[j - 1])
         if S.monomial(tuple(exps)) != direct:

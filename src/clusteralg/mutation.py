@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from copy import copy
+from fractions import Fraction
 from math import gcd, lcm
 
 from .laurent import LaurentPolynomial, lp_exact_div, lp_exchange_monomials
@@ -187,9 +189,9 @@ def mutate_y(ys, k):
 class LabeledSeedGeometric:
     """Cluster of Laurent polynomials in m ambient variables + extended matrix.
 
-    A constructed seed starts a new exchange table; mutate_seed_geometric
-    hands it on to every seed it derives, so a seed and its descendants
-    divide each exchange relation once.
+    A constructed seed is validated and starts a new exchange table;
+    mutate_seed_geometric copies it into every seed it derives, so a seed
+    and its descendants divide each exchange relation once.
     """
 
     __slots__ = ("x", "Btilde", "n", "vars", "_exchanges")
@@ -261,8 +263,11 @@ def mutate_seed_geometric(seed, k):
         new_xk = seed._exchanges[key] = lp_exact_div(plus + minus, seed.x[kk])
     x = list(seed.x)
     x[kk] = new_xk
-    child = LabeledSeedGeometric(x, mutate_matrix(seed.Btilde, k), n, seed.vars)
-    child._exchanges = seed._exchanges
+    # a copy shares vars and the exchange table, and skips the validation:
+    # mutation keeps the skew-symmetrizer (FZ I, Prop. 4.5)
+    child = copy(seed)
+    child.x = tuple(x)
+    child.Btilde = mutate_matrix(seed.Btilde, k)
     return child
 
 
@@ -311,58 +316,40 @@ def oracle_walk(Btilde_or_B, path, S, max_rank=3, max_steps=8):
 def cartan_counterpart_and_sign(B):
     """Cartan counterpart a_ij = -|b_ij| (a_ii = 2) and the bipartite sign.
 
-    Returns (A, eps) with eps=None when the matrix is not bipartite.  Signs
-    are forced by b_ij > 0 => eps(i) = +1, eps(j) = -1; unforced components
-    (in particular isolated vertices) take +1 on their least index.
+    Returns (A, eps) with eps=None when the matrix is not bipartite; raises
+    NotSkewSymmetrizable unless B is skew-symmetrizable.  Then b_ij > 0 =>
+    eps(i) = +1, eps(j) = -1 fixes eps on every vertex that is not
+    isolated: eps(i) = -1 exactly when row i has a negative entry.
+    Isolated vertices take +1.
     """
+    skew_symmetrizer(B)
     n = len(B)
     A = tuple(
         tuple(2 if i == j else -abs(B[i][j]) for j in range(n)) for i in range(n)
     )
-    eps = [0] * n
-    ok = True
-    for root in range(n):
-        if eps[root]:
-            continue
-        comp = [root]
-        eps[root] = 1
-        stack = [root]
-        forced = 0
-        while stack and ok:
-            i = stack.pop()
-            for j in range(n):
-                if j == i or B[i][j] == 0:
-                    continue
-                want = -eps[i]
-                if B[i][j] != 0:
-                    if eps[j] == 0:
-                        eps[j] = want
-                        comp.append(j)
-                        stack.append(j)
-                    elif eps[j] != want:
-                        ok = False
-                        break
-        if not ok:
-            break
-        # orient the two-coloring: forced by any positive entry, else +1 root
-        flip = False
-        for i in comp:
-            for j in range(n):
-                if B[i][j] > 0:
-                    if eps[i] == -1:
-                        flip = True
-                    forced += 1
-        if flip:
-            for i in comp:
-                eps[i] = -eps[i]
-        # consistency of all forced signs
-        for i in comp:
-            for j in range(n):
-                if B[i][j] > 0 and (eps[i] != 1 or eps[j] != -1):
-                    ok = False
-    if not ok:
-        return A, None
-    return A, tuple(eps)
+    eps = tuple(-1 if min(row) < 0 else 1 for row in B)
+    for i, row in enumerate(B):
+        for j, b in enumerate(row):
+            if b > 0 and (eps[i] != 1 or eps[j] != -1):
+                return A, None
+    return A, eps
+
+
+def positive_definite(A, d):
+    """Whether the symmetric matrix (d_i a_ij) is positive definite:
+    Fraction elimination without row exchanges, every pivot > 0 (Sylvester).
+    """
+    n = len(A)
+    M = [[Fraction(d[i] * A[i][j]) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = M[c][c]
+        if piv <= 0:
+            return False
+        for r in range(c + 1, n):
+            f = M[r][c] / piv
+            if f:
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return True
 
 
 # -- named types ----------------------------------------------------------
@@ -448,7 +435,9 @@ def named_matrix(name):
 def rank2_matrix(b, c):
     if b * c < 0:
         raise NotSkewSymmetrizable("b and c must have equal signs")
-    return ((0, b), (-c, 0))
+    B = ((0, b), (-c, 0))
+    skew_symmetrizer(B)  # rejects exactly one of b, c being zero
+    return B
 
 
 def principal_extension(B):

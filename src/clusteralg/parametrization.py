@@ -27,10 +27,10 @@ def d_vector(B0, path, ell, pattern=None):
     max-recurrence; the two routes must agree."""
     pat = pattern if pattern is not None else PrincipalPattern(B0)
     n = pat.n
-    extracted = lp_denominator_vector(pat.state(path)["X"][ell - 1], n)
+    extracted = lp_denominator_vector(pat.state(path).X[ell - 1], n)
     # recurrence along the path
     d = [tuple(-1 if i == l else 0 for i in range(n)) for l in range(n)]
-    Bt = pat.state(())["Btilde"]
+    Bt = pat.state(()).Btilde
     for k in path:
         kk = k - 1
         plus = [0] * n
@@ -52,60 +52,37 @@ def d_vector(B0, path, ell, pattern=None):
     return extracted
 
 
-def _integer_rank(rows):
-    """Exact rank by fraction-free elimination over rationals."""
+def _row_reduce(rows):
+    """Reduced row echelon form of rows over the rationals, exactly, and
+    its pivot columns."""
     M = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(M[0]) if M else 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(M)):
-            if M[i][c]:
-                piv = i
-                break
+    pivots = []
+    for c in range(len(M[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
+        M[r] = [a / M[r][c] for a in M[r]]
         for i in range(len(M)):
             if i != r and M[i][c]:
-                f = M[i][c] / M[r][c]
+                f = M[i][c]
                 M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
-        rank += 1
-    return rank
+        pivots.append(c)
+    return M, pivots
 
 
 def _solve_integer(columns, target):
     """Solve sum_j c_j * columns[j] = target over the integers, or None."""
-    m = len(target)
     n = len(columns)
-    A = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(m)]
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        A[r] = [a / A[r][c] for a in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    # consistency
-    for i in range(r, m):
-        if A[i][n]:
-            return None
-    sol = [Fraction(0)] * n
+    R, pivots = _row_reduce(
+        [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    )
+    if n in pivots:  # a pivot in the target column: no rational solution
+        return None
+    sol = [0] * n
     for row, c in enumerate(pivots):
-        sol[c] = A[row][n]
+        sol[c] = R[row][n]
     if any(s.denominator != 1 for s in sol):
         return None
     return tuple(int(s) for s in sol)
@@ -118,7 +95,7 @@ def g_vector_general(Btilde, z):
     m = len(Bt)
     n = len(Bt[0])
     cols = [tuple(Bt[i][j] for i in range(m)) for j in range(n)]
-    if _integer_rank(Bt) != n:
+    if len(_row_reduce(Bt)[1]) != n:
         raise RankDeficient("extended matrix does not have full rank")
 
     def reduce_part(poly):

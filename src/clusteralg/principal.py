@@ -5,6 +5,11 @@ the cluster variables X (Laurent in x1..xn, y1..yn), the F-polynomials
 (in y1..yn), and the g-/c-vectors.  Every quantity is computed by two
 independent routes and cross-checked.
 
+The state at a vertex is one immutable PatternState record: the extended
+matrix Btilde (its bottom n rows are the c-vectors, read by c_vector), the
+cluster variables X, their F-polynomials F and their g-vectors g, each a
+tuple indexed from 0.
+
 The exchange relation at a vertex fixes X_k', F_k' = X_k'|_{x=1} and the
 g-vector of X_k'.  A pattern divides each distinct relation once, checks
 it once, and keeps the result in its exchange table; the checks that read
@@ -14,6 +19,7 @@ the vertex (g-vector recurrences, degree consistency) run on every step.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .laurent import (
     LaurentPolynomial,
@@ -47,6 +53,19 @@ class CrossCheckFailure(AssertionError):
     pass
 
 
+class PatternState(NamedTuple):
+    """One vertex of a principal pattern."""
+
+    Btilde: tuple
+    X: tuple
+    F: tuple
+    g: tuple
+
+    def c_vector(self, j):
+        """The c-vector of index j (1-based): column j of the bottom rows."""
+        return tuple(row[j - 1] for row in self.Btilde[len(self.X):])
+
+
 class PrincipalPattern:
     """Memoized principal-coefficient walk data keyed by path prefix."""
 
@@ -69,7 +88,7 @@ class PrincipalPattern:
         X0 = tuple(LaurentPolynomial.var(self.vars, v) for v in self.xvars)
         F0 = (self._one_y,) * n
         g0 = tuple(tuple(1 if i == ell else 0 for i in range(n)) for ell in range(n))
-        self._states = {(): {"Btilde": Bt0, "X": X0, "F": F0, "g": g0}}
+        self._states = {(): PatternState(Bt0, X0, F0, g0)}
         self._b0cols = [tuple(self.B0[i][j] for i in range(n)) for j in range(n)]
         # exchange_key -> (X_k', F_k', g-vector of X_k'); (F, kk) -> h
         self._exchanges = {}
@@ -88,21 +107,21 @@ class PrincipalPattern:
     def _step(self, st, k):
         n = self.n
         kk = k - 1
-        Bt = st["Btilde"]
+        Bt = st.Btilde
         Bt2 = mutate_matrix(Bt, k)
         col = [row[kk] for row in Bt]
-        key = exchange_key(st["X"], col, kk)
+        key = exchange_key(st.X, col, kk)
         ex = self._exchanges.get(key)
         if ex is None:
             ex = self._exchanges[key] = self._exchange(st, k, col)
         Xk, Fk, gk_deg = ex
-        X = list(st["X"])
+        X = list(st.X)
         X[kk] = Xk
-        F = list(st["F"])
+        F = list(st.F)
         F[kk] = Fk
 
         # g-vector: multidegree plus two recurrence variants
-        g = st["g"]
+        g = st.g
         gk1 = [-g[kk][i] for i in range(n)]
         gk2 = [-g[kk][i] for i in range(n)]
         for i in range(n):
@@ -142,7 +161,7 @@ class PrincipalPattern:
             raise CrossCheckFailure("degree-consistency identity fails at k=%d" % k)
         g2 = list(g)
         g2[kk] = gk_deg
-        return {"Btilde": Bt2, "X": tuple(X), "F": tuple(F), "g": tuple(g2)}
+        return PatternState(Bt2, tuple(X), tuple(F), tuple(g2))
 
     def _exchange(self, st, k, col):
         """(X_k', F_k', g-vector of X_k') of the exchange at k from st, col
@@ -155,15 +174,15 @@ class PrincipalPattern:
         n = self.n
         kk = k - 1
         plus, minus = lp_exchange_monomials(
-            zip(st["X"] + self._frozen, col), self.vars
+            zip(st.X + self._frozen, col), self.vars
         )
-        Xk = lp_exact_div(plus + minus, st["X"][kk])
+        Xk = lp_exact_div(plus + minus, st.X[kk])
         # F-polynomial: by specialization and independently by recurrence
         Fk = lp_substitute_monomial(Xk, self._spec)
         Fp, Fm = lp_exchange_monomials(
-            zip(self._y + st["F"], col[n:] + col[:n]), self.yvars
+            zip(self._y + st.F, col[n:] + col[:n]), self.yvars
         )
-        if Fk != lp_exact_div(Fp + Fm, st["F"][kk]):
+        if Fk != lp_exact_div(Fp + Fm, st.F[kk]):
             raise CrossCheckFailure("F-polynomial recurrence disagrees at k=%d" % k)
         gk = self._multidegree(Xk)
         # structural invariants
@@ -204,11 +223,34 @@ class PrincipalPattern:
 
     # -- accessors ----------------------------------------------------
     def g_value(self, path, ell):
-        return self.state(path)["g"][ell - 1]
+        return self.state(path).g[ell - 1]
 
     def d_value(self, path, ell):
         """Denominator vector of X in the x-variables."""
-        return lp_denominator_vector(self.state(path)["X"][ell - 1], self.n)
+        return lp_denominator_vector(self.state(path).X[ell - 1], self.n)
+
+    def y_value(self, path, j):
+        """Y_j = y^{c_j} prod_i F_i^{b_ij} at the end of path, in the
+        universal semifield: a RationalExpression whose factor hints are
+        the F_i other than 1."""
+        st = self.state(path)
+        num = den = self._one_y
+        for c, yv in zip(st.c_vector(j), self._y):
+            if c > 0:
+                num = num * yv ** c
+            elif c < 0:
+                den = den * yv ** (-c)
+        hints = []
+        # zip stops after the n mutable rows of Btilde
+        for row, F in zip(st.Btilde, st.F):
+            b = row[j - 1]
+            if b > 0:
+                num = num * F ** b
+            elif b < 0:
+                den = den * F ** (-b)
+            if not F.is_one():
+                hints.append(F)
+        return RationalExpression(num, den, hints)
 
     def y_hat(self, path):
         """The hatted coefficients at the vertex: monomials in x and y."""
@@ -216,7 +258,7 @@ class PrincipalPattern:
         n = self.n
         out = []
         for j in range(n):
-            e = [st["Btilde"][i][j] for i in range(2 * n)]
+            e = [st.Btilde[i][j] for i in range(2 * n)]
             out.append(LaurentPolynomial.monomial(self.vars, e))
         return tuple(out)
 
@@ -231,34 +273,17 @@ def y_factored(B0, path):
     n = pat.n
     st = pat.state(path)
     S = TropicalSemifield(pat.yvars)
-    out = []
-    for j in range(n):
-        c = tuple(st["Btilde"][n + r][j] for r in range(n))
-        bexp = tuple(st["Btilde"][i][j] for i in range(n))
-        out.append((S.monomial(c), bexp))
+    out = [
+        (S.monomial(st.c_vector(j)), tuple(st.Btilde[i][j - 1] for i in range(n)))
+        for j in range(1, n + 1)
+    ]
     # cross-check against the universal semifield walk
     U = UniversalSemifield(pat.yvars)
     ys = LabeledYSeed([U.generator(v) for v in pat.yvars], B0, U)
     for k in path:
         ys = mutate_y(ys, k)
-    one = LaurentPolynomial.const(pat.yvars, 1)
     for j in range(n):
-        trop, bexp = out[j]
-        num = one
-        den = one
-        for r, a in enumerate(trop.exps):
-            yv = LaurentPolynomial.var(pat.yvars, pat.yvars[r])
-            if a > 0:
-                num = num * yv ** a
-            elif a < 0:
-                den = den * yv ** (-a)
-        for i, b in enumerate(bexp):
-            if b > 0:
-                num = num * st["F"][i] ** b
-            elif b < 0:
-                den = den * st["F"][i] ** (-b)
-        expanded = RationalExpression(num, den)
-        if expanded != ys.y[j]:
+        if pat.y_value(path, j + 1) != ys.y[j]:
             raise CrossCheckFailure("factored Y disagrees with direct Y-mutation")
     return out
 
@@ -306,9 +331,9 @@ def separation_evaluate(
         )
     if y_in_S is None:
         y_in_S = tuple(S.generator(v) for v in pat.yvars)
-    X = st["X"][ell - 1]
-    F = st["F"][ell - 1]
-    g = st["g"][ell - 1]
+    X = st.X[ell - 1]
+    F = st.F[ell - 1]
+    g = st.g[ell - 1]
 
     f_s = sf_eval_poly(F, dict(zip(pat.yvars, y_in_S)), S)
     if isinstance(f_s, TropicalMonomial):
@@ -395,13 +420,13 @@ def _g_transition(pat0, pat1, k, path, ell):
     path1 = path[1:] if path[:1] == (k,) else (k,) + path
     st0 = pat0.state(path)
     st1 = pat1.state(path1)
-    g = st0["g"][ell - 1]
-    gp = st1["g"][ell - 1]
+    g = st0.g[ell - 1]
+    gp = st1.g[ell - 1]
     kk = k - 1
     # h'_k from F wrt (B1; t1), h_k from F wrt (B0; t0); B1 = mu_k(B0)
     # negates row k, so both read [-b_kj]+ of their own pattern's matrix
-    hpk = pat1._h_value(st1["F"][ell - 1], kk)
-    hk = pat0._h_value(st0["F"][ell - 1], kk)
+    hpk = pat1._h_value(st1.F[ell - 1], kk)
+    hk = pat0._h_value(st0.F[ell - 1], kk)
     if g[kk] != -gp[kk]:
         raise CrossCheckFailure("g-transition fails in the mutated direction")
     for i in range(n):
@@ -433,9 +458,9 @@ def _d_g_relation(pat, st, ell, assignments):
     variable ell (0-based) of state st; the second is None for a monomial."""
     n = pat.n
     d_plus_g, pure_d = assignments
-    X = st["X"][ell]
-    F = st["F"][ell]
-    g = st["g"][ell]
+    X = st.X[ell]
+    F = st.F[ell]
+    g = st.g[ell]
     d = lp_denominator_vector(X, n)
     exact = trop_eval_positive_poly(F, d_plus_g).exps == tuple(
         -d[i] - g[i] for i in range(n)
@@ -453,7 +478,7 @@ def _d_g_relation(pat, st, ell, assignments):
 
 def seed_signature(st):
     """A labeled seed up to equality: its extended matrix and cluster."""
-    return st["Btilde"], st["X"]
+    return st.Btilde, st.X
 
 
 def enumerate_pattern(B0, max_seeds=500, max_depth=None):
@@ -546,7 +571,7 @@ def conjecture_suite(
     neg_images = {}
 
     def d_g_verdict(st, ell):
-        X = st["X"][ell]
+        X = st.X[ell]
         if X not in d_g_verdicts:
             d_g_verdicts[X] = _d_g_relation(pat, st, ell, assignments)
         return d_g_verdicts[X]
@@ -561,11 +586,8 @@ def conjecture_suite(
     for sig, path in seen.items():
         st = pat.state(path)
         at = "path=%s" % (list(path),)
-        cvecs = [
-            tuple(st["Btilde"][n + j][ell] for j in range(n)) for ell in range(n)
-        ]
         for ell in range(n):
-            F = st["F"][ell]
+            F = st.F[ell]
             where = "%s ell=%d" % (at, ell + 1)
             record("f_constant_term_1", F.constant_term() == 1, where)
             record(
@@ -579,7 +601,7 @@ def conjecture_suite(
                 dom is not None and F.terms[dom] == 1,
                 where,
             )
-            c = cvecs[ell]
+            c = st.c_vector(ell + 1)
             coherent = all(v >= 0 for v in c) or all(v <= 0 for v in c)
             record("c_vector_sign_coherent", coherent, where)
             # three equivalent conditions agree
@@ -597,7 +619,7 @@ def conjecture_suite(
             if conjectural is not None:
                 record("d_through_F", conjectural, where)
         # g-vector sign coherence across the cluster, per coordinate
-        gs = st["g"]
+        gs = st.g
         ok = all(
             all(gs[ell][i] >= 0 for ell in range(n))
             or all(gs[ell][i] <= 0 for ell in range(n))
@@ -609,14 +631,14 @@ def conjecture_suite(
         for ell in range(n):
             record(
                 "f_B_vs_negB",
-                st["F"][ell] == neg_image(stn["F"][ell]),
+                st.F[ell] == neg_image(stn.F[ell]),
                 "%s ell=%d" % (at, ell + 1),
             )
         # transition rules at every direction k
         if transition_checks:
             for k in range(1, n + 1):
                 for ell in range(1, n + 1):
-                    g = st["g"][ell - 1]
+                    g = st.g[ell - 1]
                     where = "%s k=%d ell=%d" % (at, k, ell)
                     try:
                         gp, hk, hpk = _g_transition(

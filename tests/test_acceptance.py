@@ -454,7 +454,7 @@ def test_criterion_10_universal_coefficients(capsys):
         for path in seen.values():
             st = pat.state(path)
             for ell in range(2):
-                X = st["X"][ell]
+                X = st.X[ell]
                 d = lp_denominator_vector(X, 2)
                 by_root.setdefault(d, X)
                 assert by_root[d] == X

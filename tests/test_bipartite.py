@@ -29,6 +29,7 @@ from clusteralg.laurent import (
 )
 from clusteralg.mutation import (
     CARTAN,
+    NotSkewSymmetrizable,
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     named_matrix,
@@ -218,7 +219,7 @@ def test_belt_f_recurrence_matches_pattern():
         for (i, m), F in tab.items():
             if m < 0:
                 continue
-            assert belt.state(m)["F"][i - 1] == F, (name, i, m)
+            assert belt.state(m).F[i - 1] == F, (name, i, m)
 
 
 FINITE_BELT_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4", "A1xA1", "E6")
@@ -333,3 +334,8 @@ def test_not_bipartite_rejected():
     # non-bipartite orientation only in larger examples; use a direct one
     with pytest.raises(NotBipartite):
         Belt(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
+
+
+def test_belt_recurrence_rejects_a_matrix_that_is_not_skew_symmetrizable():
+    with pytest.raises(NotSkewSymmetrizable):
+        belt_f_recurrence(((0, -3), (0, 0)), 2)

@@ -183,6 +183,28 @@ def test_mutate_input_that_is_not_an_exchange_matrix_is_a_usage_error(
 @pytest.mark.parametrize(
     "command",
     [
+        ["mutate", "--path", "1"],
+        ["belt", "--range", "0:2"],
+        ["ysystem"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("bc", ["0,3", "3,0"])
+def test_rank2_with_exactly_one_zero_is_a_usage_error(monkeypatch, capsys, command, bc):
+    # ((0, 0), (-3, 0)) has an asymmetric zero pattern: not skew-symmetrizable
+    monkeypatch.setattr(sys, "argv", ["cluster", *command, "--rank2", bc])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
         ["f-poly", "--path", "1"],
         ["walk", "--path", "1"],
         ["g-vector", "--path", "1"],
@@ -219,8 +241,16 @@ def test_extended_matrix_given_to_matrix_is_a_usage_error(
         [[1, -1], [-1, 2]],  # a diagonal entry other than 2
         [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],  # not symmetrizable
         [[2, -1]],  # not square
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # a 3-cycle: no bipartite sign
     ],
-    ids=["zero-pattern", "positive-entry", "diagonal", "not-symmetrizable", "not-square"],
+    ids=[
+        "zero-pattern",
+        "positive-entry",
+        "diagonal",
+        "not-symmetrizable",
+        "not-square",
+        "odd-cycle",
+    ],
 )
 def test_ysystem_cartan_that_is_not_a_symmetrizable_cartan_matrix_is_a_usage_error(
     tmp_path, monkeypatch, capsys, rows

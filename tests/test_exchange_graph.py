@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from clusteralg import exchange_graph, mutation
 from clusteralg.exchange_graph import (
     CapExceeded,
+    Inconclusive,
     _canonical,
     build_exchange_graph,
     covering_check,
@@ -91,6 +92,17 @@ def test_is_finite_type():
     assert is_finite_type(named_matrix("G2"))
     assert not is_finite_type(rank2_matrix(2, 2))
     assert not is_finite_type(rank2_matrix(1, 4))
+
+
+def test_is_finite_type_on_a_matrix_that_is_not_bipartite():
+    # linear A3: vertex 2 has b_21 < 0 < b_23, so only the seed BFS decides
+    assert is_finite_type(((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+
+
+def test_is_finite_type_is_inconclusive_past_the_cap():
+    markov = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
+    with pytest.raises(Inconclusive):
+        is_finite_type(markov, cap=50)
 
 
 def reference_exchange_graph(seed, cap=10 ** 5):

@@ -1,11 +1,12 @@
 """Matrix, Y-seed, and geometric seed mutation."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusteralg.bipartite import cartan_symmetrizer
@@ -28,6 +29,7 @@ from clusteralg.mutation import (
     mutate_y,
     named_matrix,
     oracle_walk,
+    positive_definite,
     principal_extension,
     principal_part,
     rank2_matrix,
@@ -83,12 +85,6 @@ def test_extended_matrix_mutation_matches_reference_rule(M, k):
     k = min(k, len(M[0]))
     assert mutate_matrix(M, k) == reference_mutation(M, k)
     assert mutate_matrix(mutate_matrix(M, k), k) == M
-
-
-@given(skew_matrices, st.integers(1, 3))
-def test_matrix_mutation_preserves_skew_symmetrizer(B, k):
-    d = skew_symmetrizer(B)
-    assert skew_symmetrizer(mutate_matrix(B, k)) == d
 
 
 def test_matrix_mutation_known_rank2():
@@ -293,13 +289,13 @@ def _outcome(f, M):
 
 
 @st.composite
-def symmetrizer_inputs(draw):
+def symmetrizer_inputs(draw, kinds=("DS", "sign-skew", "bad-diagonal", "any")):
     """Square matrices up to rank 6: D S (S skew-symmetric, so skew-
     symmetrizable with weights 1/d_i), sign-skew with free magnitudes
     (mostly not symmetrizable), either with one nonzero diagonal entry,
     or any entries at all (equal signs, asymmetric zero patterns)."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["DS", "sign-skew", "bad-diagonal", "any"]))
+    kind = draw(st.sampled_from(kinds))
     entry = st.integers(-3, 3)
     M = [[0] * n for _ in range(n)]
     if kind == "any":
@@ -333,6 +329,92 @@ def test_symmetrizers_match_the_fraction_reference(M):
     assert _outcome(cartan_symmetrizer, M) == _outcome(
         _reference_cartan_symmetrizer, M
     )
+
+
+skew_symmetrizable = symmetrizer_inputs(kinds=("DS",))
+
+
+@given(skew_symmetrizable, st.data())
+@settings(max_examples=100, deadline=None)
+def test_matrix_mutation_preserves_skew_symmetrizer(B, data):
+    # seeds made by mutation are not validated again, so this must hold
+    k = data.draw(st.integers(1, len(B)))
+    assert skew_symmetrizer(mutate_matrix(B, k)) == skew_symmetrizer(B)
+
+
+def _brute_force_bipartite_sign(B):
+    """The largest eps in {-1, +1}^n with b_ij > 0 => eps(i) = +1, eps(j) = -1,
+    or None: only isolated vertices are free, and they take +1."""
+    n = len(B)
+    valid = [
+        eps
+        for eps in itertools.product((-1, 1), repeat=n)
+        if all(
+            eps[i] == 1 and eps[j] == -1
+            for i in range(n)
+            for j in range(n)
+            if B[i][j] > 0
+        )
+    ]
+    return max(valid) if valid else None
+
+
+@given(skew_symmetrizable)
+@settings(max_examples=150, deadline=None)
+def test_bipartite_sign_matches_a_search_over_all_signs(B):
+    n = len(B)
+    A, eps = cartan_counterpart_and_sign(B)
+    assert eps == _brute_force_bipartite_sign(B)
+    assert A == tuple(
+        tuple(2 if i == j else -abs(B[i][j]) for j in range(n)) for i in range(n)
+    )
+
+
+@given(symmetrizer_inputs())
+@example(((0, -3), (0, 0)))
+@settings(max_examples=150, deadline=None)
+def test_cartan_counterpart_needs_a_skew_symmetrizable_matrix(M):
+    try:
+        skew_symmetrizer(M)
+    except NotSkewSymmetrizable:
+        with pytest.raises(NotSkewSymmetrizable):
+            cartan_counterpart_and_sign(M)
+    else:
+        cartan_counterpart_and_sign(M)
+
+
+def _determinant(M):
+    """Leibniz expansion over all permutations."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+@given(
+    st.one_of(
+        skew_symmetrizable,
+        # up to E6: the Leibniz expansion of E8's minors takes seconds
+        st.sampled_from(sorted(k for k in CARTAN if len(CARTAN[k]) <= 6)).map(
+            named_matrix
+        ),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_positive_definite_matches_the_leading_minors(B):
+    A, _ = cartan_counterpart_and_sign(B)
+    d = skew_symmetrizer(B)
+    n = len(B)
+    S = [[d[i] * A[i][j] for j in range(n)] for i in range(n)]
+    minors = [_determinant([row[:k] for row in S[:k]]) for k in range(1, n + 1)]
+    assert positive_definite(A, d) == all(m > 0 for m in minors)
 
 
 EXCHANGE_TYPES = ["A3", "B3", "C3", "D4", "G2", "rank2(1,3)"]

@@ -2,8 +2,11 @@
 
 import pytest
 
+from clusteralg.laurent import LaurentPolynomial, RationalExpression
 from clusteralg.mutation import named_matrix, rank2_matrix
 from clusteralg.parametrization import (
+    NotInM,
+    RankDeficient,
     d_g_relation_check,
     d_vector,
     g_vector_general,
@@ -43,7 +46,6 @@ def test_d_vector_routes_agree_for_b2():
 
 
 def test_g_vector_general_recovers_pattern_g():
-    from clusteralg.laurent import RationalExpression
     from clusteralg.mutation import principal_extension
 
     pat = PrincipalPattern(A2)
@@ -51,8 +53,34 @@ def test_g_vector_general_recovers_pattern_g():
     for m in range(6):
         st = pat.state(WALK[:m])
         for ell in (1, 2):
-            z = RationalExpression.from_poly(st["X"][ell - 1])
-            assert g_vector_general(Bt, z) == st["g"][ell - 1]
+            z = RationalExpression.from_poly(st.X[ell - 1])
+            assert g_vector_general(Bt, z) == st.g[ell - 1]
+
+
+def _binomial(variables, e):
+    """1 + the monomial with exponent vector e, as a RationalExpression."""
+    one = LaurentPolynomial.const(variables, 1)
+    return RationalExpression.from_poly(one + LaurentPolynomial.monomial(variables, e))
+
+
+def test_g_vector_general_rejects_a_rank_deficient_matrix():
+    with pytest.raises(RankDeficient):
+        g_vector_general(((0, 0), (0, 0), (1, 1)), _binomial(("a", "b", "c"), (0, 0, 1)))
+
+
+BT_RANK2 = ((0, 2), (-2, 0), (2, 0), (0, 2))
+AMBIENT4 = ("x1", "x2", "y1", "y2")
+
+
+@pytest.mark.parametrize(
+    "e",
+    [(1, 0, 0, 0), (0, -1, 1, 0)],
+    ids=["outside-the-column-span", "half-a-column"],
+)
+def test_g_vector_general_rejects_exponent_differences_outside_the_lattice(e):
+    # columns (0,-2,2,0) and (2,0,0,2): (0,-1,1,0) is half the first
+    with pytest.raises(NotInM):
+        g_vector_general(BT_RANK2, _binomial(AMBIENT4, e))
 
 
 def test_monomial_vectors_are_additive():

@@ -48,9 +48,9 @@ YV = ("y1", "y2")
 def test_initial_state():
     pat = PrincipalPattern(A2)
     st = pat.state(())
-    assert [lp_canonical_text(x) for x in st["X"]] == ["x1", "x2"]
-    assert all(F.is_one() for F in st["F"])
-    assert st["g"] == ((1, 0), (0, 1))
+    assert [lp_canonical_text(x) for x in st.X] == ["x1", "x2"]
+    assert all(F.is_one() for F in st.F)
+    assert st.g == ((1, 0), (0, 1))
 
 
 def test_walk_f_polynomials():
@@ -60,7 +60,7 @@ def test_walk_f_polynomials():
     texts = {}
     for m in range(1, 6):
         st = pat.state(WALK[:m])
-        texts[m] = tuple(lp_canonical_text(F) for F in st["F"])
+        texts[m] = tuple(lp_canonical_text(F) for F in st.F)
     assert texts[1] == ("1", "y2 + 1")
     assert texts[2] == ("y1*y2 + y1 + 1", "y2 + 1")
     assert texts[3] == ("y1*y2 + y1 + 1", "y1 + 1")
@@ -70,7 +70,7 @@ def test_walk_f_polynomials():
 
 def test_walk_g_vectors():
     pat = PrincipalPattern(A2)
-    gs = {m: pat.state(WALK[:m])["g"] for m in range(1, 6)}
+    gs = {m: pat.state(WALK[:m]).g for m in range(1, 6)}
     assert gs[1] == ((1, 0), (0, -1))
     assert gs[2] == ((-1, 0), (0, -1))
     assert gs[3] == ((-1, 0), (-1, 1))
@@ -81,9 +81,9 @@ def test_walk_g_vectors():
 def test_walk_cluster_variables():
     pat = PrincipalPattern(A2)
     st = pat.state((2, 1))
-    assert lp_canonical_text(st["X"][1]) == "x1*x2^-1*y2 + x2^-1"
+    assert lp_canonical_text(st.X[1]) == "x1*x2^-1*y2 + x2^-1"
     assert (
-        lp_canonical_text(st["X"][0])
+        lp_canonical_text(st.X[0])
         == "x2^-1*y1*y2 + x1^-1 + x1^-1*x2^-1*y1"
     )
 
@@ -340,7 +340,7 @@ def test_f_cross_check_runs_on_first_sighting(monkeypatch):
         pat.state((1, 2, 1))
     # b_13 = 0, so mu_3 leaves the relation of mu_1 as it is: (3, 1) is a
     # table hit that (1,) already checked, and the corrupted route never runs
-    assert pat.state((3, 1))["F"][0] == pat.state((1,))["F"][0]
+    assert pat.state((3, 1)).F[0] == pat.state((1,)).F[0]
 
 
 @st.composite
@@ -376,5 +376,5 @@ def test_pattern_cluster_matches_geometric_mutation(B, path):
     for k in path:
         seed = mutate_seed_geometric(seed, k)
     st_ = pat.state(path)
-    assert st_["X"] == seed.x
-    assert st_["Btilde"] == seed.Btilde
+    assert st_.X == seed.x
+    assert st_.Btilde == seed.Btilde
