@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from .laurent import (
-    LaurentPolynomial,
-    RationalExpression,
-    lp_canonical_text,
-)
+from .laurent import LaurentPolynomial, RationalExpression
 from .mutation import (
     _pos,
     bipartite_sign_from_cartan,
@@ -310,7 +306,9 @@ def y_system_solve(A, S, steps, initial="u", initial_values=None, eps=None):
 
 def periodicity_check(B, mode="seeds", cap=40):
     """Finite type: exact period dividing 2(h+2); infinite type: pairwise
-    distinctness of the tracked family up to cap."""
+    distinctness of the tracked family up to cap (see `belt_modp`)."""
+    if mode not in ("seeds", "y-system"):
+        raise ValueError("mode must be seeds or y-system")
     B = matrix(B)
     A, eps = cartan_counterpart_and_sign(B)
     if eps is None:
@@ -333,35 +331,17 @@ def periodicity_check(B, mode="seeds", cap=40):
                     minimal = p
                     break
             return {"finite": True, "h": h, "period": minimal, "divides": period}
-        if mode == "y-system":
-            for j in range(1, belt.n + 1):
-                for m in (0, 1):
-                    if eps[j - 1] != (1 if (m - 1) % 2 == 0 else -1):
-                        continue
-                    if belt.y_universal(j, m) != belt.y_universal(j, m + period):
-                        raise CrossCheckFailure("Y-value period fails")
-            return {"finite": True, "h": h, "divides": period}
-        raise ValueError("mode must be seeds or y-system")
-    # infinite type: distinctness
-    seen_x = {}
-    seen_y = {}
-    for m in range(0, cap + 1):
-        for i in range(1, belt.n + 1):
-            if eps[i - 1] == (1 if m % 2 == 0 else -1):
-                t = lp_canonical_text(belt.x_im(i, m))
-                if t in seen_x:
-                    raise CrossCheckFailure(
-                        "x repeats: (%d;%d) vs %s" % (i, m, seen_x[t])
-                    )
-                seen_x[t] = (i, m)
-            if eps[i - 1] == (1 if (m - 1) % 2 == 0 else -1):
-                v = belt.y_universal(i, m).simplify()
-                t = (lp_canonical_text(v.num), lp_canonical_text(v.den))
-                if t in seen_y:
-                    raise CrossCheckFailure(
-                        "y repeats: (%d;%d) vs %s" % (i, m, seen_y[t])
-                    )
-                seen_y[t] = (i, m)
+        for j in range(1, belt.n + 1):
+            for m in (0, 1):
+                if eps[j - 1] != (1 if (m - 1) % 2 == 0 else -1):
+                    continue
+                if belt.y_universal(j, m) != belt.y_universal(j, m + period):
+                    raise CrossCheckFailure("Y-value period fails")
+        return {"finite": True, "h": h, "divides": period}
+    # infinite type: distinctness, certified from residues mod p
+    from .belt_modp import belt_distinct
+
+    belt_distinct(belt, cap)
     return {"finite": False, "no_period_up_to": cap}
 
 

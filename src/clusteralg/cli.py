@@ -422,6 +422,15 @@ def ysystem(type_name, rank2, cartan_file, steps, initial, semifield_name, out):
     _emit("\n".join(lines) + "\n", out)
 
 
+def _universal_build(B):
+    """Universal coefficients of B; a matrix of infinite type, or one that
+    is not bipartite, is a usage error."""
+    try:
+        return finite_type.universal_build(B)
+    except finite_type.NotFiniteType as exc:
+        raise UsageError("no universal coefficients: %s" % exc)
+
+
 @main.command()
 @click.option("--type", "type_name", default=None)
 @click.option("--matrix", "matrix_file", default=None)
@@ -431,7 +440,7 @@ def ysystem(type_name, rank2, cartan_file, steps, initial, semifield_name, out):
 def universal(type_name, matrix_file, rank2, as_json, out):
     """Universal coefficient system and its exchange relations."""
     B, _ = _load_b(type_name, matrix_file, rank2)
-    U = finite_type.universal_build(B)
+    U = _universal_build(B)
     rel = finite_type.universal_exchange_relations(U)
     names = U["gen_names"]
 
@@ -481,7 +490,7 @@ def universal(type_name, matrix_file, rank2, as_json, out):
 def specialize(type_name, matrix_file, rank2, target, out):
     """Verified coefficient specialization from universal coefficients."""
     B, _ = _load_b(type_name, matrix_file, rank2)
-    U = finite_type.universal_build(B)
+    U = _universal_build(B)
     sp = finite_type.specialization_construct(U, target)
     lines = ["target=%s seeds=%d checked=%d" % (target, sp["seeds"], sp["checked"])]
     for name in sorted(sp["phi"]):

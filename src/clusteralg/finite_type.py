@@ -58,7 +58,7 @@ def root_system_build(A):
     n = len(A)
     d = cartan_symmetrizer(A)
     if not positive_definite(A, d):
-        raise NotFiniteType("symmetrization is not positive definite")
+        raise NotFiniteType("infinite type: symmetrization is not positive definite")
     cox = coxeter_data(A)
     positives = _positive_roots(A)
 
@@ -212,7 +212,7 @@ def universal_build(B, periods=2):
     B = matrix(B)
     A, eps = cartan_counterpart_and_sign(B)
     if eps is None:
-        raise NotFiniteType("universal coefficients need a bipartite matrix")
+        raise NotFiniteType("the exchange matrix is not bipartite")
     rs = root_system_build(A)
     n = len(A)
     h = rs["h"]

@@ -747,8 +747,8 @@ class RationalExpression:
         return RationalExpression(self.num ** k, self.den ** k, self.factor_hints)
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPolynomial)):
-            other = _coerce(other, self.vars)
+        # only another RationalExpression: an int or a LaurentPolynomial
+        # hashes by its own rule, so equality with one would break sets
         if not isinstance(other, RationalExpression):
             return NotImplemented
         return self.num * other.den == other.num * self.den

@@ -66,6 +66,56 @@ class PatternState(NamedTuple):
         return tuple(row[j - 1] for row in self.Btilde[len(self.X):])
 
 
+def g_recurrence(Bt, g, k, b0cols):
+    """The g-vector of the variable that replaces x_k (1-based) when the
+    vertex with extended matrix Bt and g-vectors g mutates at k, b0cols
+    being the columns of the initial exchange matrix.
+
+    Both recurrences (through the b_ik > 0 and through the b_ik < 0) are
+    computed and must agree, and the degree-consistency identity
+    sum_i b_ik g_i = sum_j b_{n+j,k} b0_j must hold.
+    """
+    n = len(g)
+    kk = k - 1
+    gk1 = [-v for v in g[kk]]
+    gk2 = [-v for v in g[kk]]
+    for i in range(n):
+        b = Bt[i][kk]
+        if b > 0:
+            for r in range(n):
+                gk1[r] += b * g[i][r]
+        elif b < 0:
+            for r in range(n):
+                gk2[r] += (-b) * g[i][r]
+    for j in range(n):
+        c = Bt[n + j][kk]
+        col = b0cols[j]
+        if c > 0:
+            for r in range(n):
+                gk1[r] -= c * col[r]
+        elif c < 0:
+            for r in range(n):
+                gk2[r] -= (-c) * col[r]
+    if gk1 != gk2:
+        raise CrossCheckFailure("g-vector recurrences disagree at k=%d" % k)
+    lhs = [0] * n
+    rhs = [0] * n
+    for i in range(n):
+        b = Bt[i][kk]
+        if b:
+            for r in range(n):
+                lhs[r] += b * g[i][r]
+    for j in range(n):
+        c = Bt[n + j][kk]
+        if c:
+            col = b0cols[j]
+            for r in range(n):
+                rhs[r] += c * col[r]
+    if lhs != rhs:
+        raise CrossCheckFailure("degree-consistency identity fails at k=%d" % k)
+    return tuple(gk1)
+
+
 class PrincipalPattern:
     """Memoized principal-coefficient walk data keyed by path prefix."""
 
@@ -105,7 +155,6 @@ class PrincipalPattern:
         return st
 
     def _step(self, st, k):
-        n = self.n
         kk = k - 1
         Bt = st.Btilde
         Bt2 = mutate_matrix(Bt, k)
@@ -119,47 +168,10 @@ class PrincipalPattern:
         X[kk] = Xk
         F = list(st.F)
         F[kk] = Fk
-
-        # g-vector: multidegree plus two recurrence variants
-        g = st.g
-        gk1 = [-g[kk][i] for i in range(n)]
-        gk2 = [-g[kk][i] for i in range(n)]
-        for i in range(n):
-            b = Bt[i][kk]
-            if b > 0:
-                for r in range(n):
-                    gk1[r] += b * g[i][r]
-            elif b < 0:
-                for r in range(n):
-                    gk2[r] += (-b) * g[i][r]
-        for j in range(n):
-            c = Bt[n + j][kk]
-            col = self._b0cols[j]
-            if c > 0:
-                for r in range(n):
-                    gk1[r] -= c * col[r]
-            elif c < 0:
-                for r in range(n):
-                    gk2[r] -= (-c) * col[r]
-        if not (tuple(gk1) == tuple(gk2) == gk_deg):
+        # g-vector: the multidegree against the two recurrences
+        if g_recurrence(Bt, st.g, k, self._b0cols) != gk_deg:
             raise CrossCheckFailure("g-vector recurrences disagree at k=%d" % k)
-        # consistency identity: sum_i b_ik g_i = sum_j b_{n+j,k} b0_j
-        lhs = [0] * n
-        rhs = [0] * n
-        for i in range(n):
-            b = Bt[i][kk]
-            if b:
-                for r in range(n):
-                    lhs[r] += b * g[i][r]
-        for j in range(n):
-            c = Bt[n + j][kk]
-            if c:
-                col = self._b0cols[j]
-                for r in range(n):
-                    rhs[r] += c * col[r]
-        if lhs != rhs:
-            raise CrossCheckFailure("degree-consistency identity fails at k=%d" % k)
-        g2 = list(g)
+        g2 = list(st.g)
         g2[kk] = gk_deg
         return PatternState(Bt2, tuple(X), tuple(F), tuple(g2))
 

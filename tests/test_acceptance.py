@@ -4,7 +4,6 @@ Each test prints one ``criterion N: PASS``/``FAIL`` line (written through
 the capture so it is always visible) and enforces a wall-clock budget.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -48,7 +47,6 @@ from clusteralg.laurent import (
 from clusteralg.mutation import (
     CARTAN,
     LabeledYSeed,
-    bipartite_sign_from_cartan,
     mutate_matrix,
     mutate_y,
     named_matrix,
@@ -56,7 +54,6 @@ from clusteralg.mutation import (
     rank2_matrix,
 )
 from clusteralg.principal import (
-    PrincipalPattern,
     conjecture_suite,
     enumerate_pattern,
     separation_evaluate,

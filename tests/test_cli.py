@@ -93,6 +93,35 @@ def test_universal_and_specialize():
     assert "phi(p[a1]) = y1" in out.stdout
 
 
+@pytest.mark.parametrize("command", ["universal", "specialize"])
+def test_universal_coefficients_of_an_infinite_type_are_a_usage_error(
+    monkeypatch, capsys, command
+):
+    # ((0, 1), (-4, 0)) is affine: universal coefficients exist only in finite type
+    monkeypatch.setattr(sys, "argv", ["cluster", command, "--rank2", "1,4"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err == "usage error: no universal coefficients: infinite type: "\
+        "symmetrization is not positive definite\n"
+
+
+def test_universal_coefficients_of_a_matrix_that_is_not_bipartite_are_a_usage_error(
+    tmp_path, monkeypatch, capsys
+):
+    # linear A3 oriented 1 -> 2 -> 3 is of finite type but not bipartite
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps({"B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}))
+    monkeypatch.setattr(sys, "argv", ["cluster", "universal", "--matrix", str(src)])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.err == "usage error: no universal coefficients: the exchange matrix is not bipartite\n"
+
+
 def test_check_command_reports_clean():
     out = run_cli("check", "--type", "A2")
     assert out.returncode == 0

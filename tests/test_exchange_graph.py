@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from clusteralg import exchange_graph, mutation
 from clusteralg.exchange_graph import (
-    CapExceeded,
     Inconclusive,
     _canonical,
-    build_exchange_graph,
     covering_check,
     graph_from_spec,
     is_finite_type,

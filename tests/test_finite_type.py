@@ -13,8 +13,8 @@ from clusteralg.finite_type import (
     universal_build,
     universal_exchange_relations,
 )
-from clusteralg.laurent import lp_canonical_text, lp_parse
-from clusteralg.mutation import CARTAN, named_matrix, rank2_matrix
+from clusteralg.laurent import lp_canonical_text
+from clusteralg.mutation import CARTAN, named_matrix
 
 YV = ("y1", "y2")
 

@@ -1,7 +1,5 @@
 """Exact Laurent-polynomial arithmetic and canonical text."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,6 +316,17 @@ def test_equal_rational_expressions_hash_alike():
     s = RationalExpression.from_poly(a + b)
     assert r == s
     assert len({r, s}) == 1
+
+
+def test_rational_expression_equals_only_rational_expressions():
+    # equality across types would need a hash shared with the other type
+    p = LaurentPolynomial.var(VARS, "x") + LaurentPolynomial.var(VARS, "y")
+    r = RationalExpression.from_poly(p)
+    assert r != p and p != r
+    assert len({r, p}) == 2
+    one = RationalExpression.from_poly(LaurentPolynomial.const(VARS, 1))
+    assert one != 1 and 1 != one
+    assert len({one, 1}) == 2
 
 
 @given(nonzero_polys, nonzero_polys, nonzero_polys)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusteralg.bipartite import cartan_symmetrizer
-from clusteralg.laurent import LaurentPolynomial, RationalExpression, lp_canonical_text
+from clusteralg.laurent import LaurentPolynomial, lp_canonical_text
 from clusteralg.mutation import (
     CARTAN,
     InvalidDirection,

@@ -11,9 +11,7 @@ from clusteralg.semifield import (
     GeneratorMismatch,
     NonPositiveCoefficient,
     PositiveRationalSemifield,
-    Semifield,
     TrivialSemifield,
-    TropicalMonomial,
     TropicalSemifield,
     UniversalSemifield,
     sf_eval_poly,
