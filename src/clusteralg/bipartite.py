@@ -105,16 +105,19 @@ def coxeter_data(A, cap=1000):
     eps = bipartite_sign_from_cartan(A)
     tp = _t_matrix(A, eps, 1)
     tm = _t_matrix(A, eps, -1)
-    C = _mat_mul(tp, tm)
-    ident = _identity(len(A))
-    h = None
-    P = C
-    for r in range(1, cap + 1):
-        if P == ident:
-            h = r
-            break
-        P = _mat_mul(P, C)
     finite = positive_definite(A, cartan_symmetrizer(A))
+    h = None
+    # t+t- is a Coxeter element, of infinite order in infinite type
+    # (Howlett 1982), so its order is searched for only in finite type
+    if finite:
+        C = _mat_mul(tp, tm)
+        ident = _identity(len(A))
+        P = C
+        for r in range(1, cap + 1):
+            if P == ident:
+                h = r
+                break
+            P = _mat_mul(P, C)
     return {"eps": eps, "t_plus": tp, "t_minus": tm, "h": h, "finite_type": finite}
 
 

@@ -158,6 +158,15 @@ def _trop_text(exps, gens):
     return lp_canonical_text(mono)
 
 
+def _value_text(v):
+    """A semifield value as text: universal, tropical or a rational."""
+    if hasattr(v, "text"):
+        return v.text()
+    if hasattr(v, "exps"):
+        return _trop_text(v.exps, v.gens)
+    return str(v)
+
+
 @click.group()
 def main():
     """Exact cluster-algebra computations: seeds, belts, Y-systems."""
@@ -411,14 +420,7 @@ def ysystem(type_name, rank2, cartan_file, steps, initial, semifield_name, out):
     )
     lines = []
     for (i, m) in sorted(vals, key=lambda t: (t[1], t[0])):
-        v = vals[(i, m)]
-        if hasattr(v, "text"):
-            txt = v.text()
-        elif hasattr(v, "exps"):
-            txt = _trop_text(v.exps, v.gens)
-        else:
-            txt = str(v)
-        lines.append("y[%d;%d] = %s" % (i, m, txt))
+        lines.append("y[%d;%d] = %s" % (i, m, _value_text(vals[(i, m)])))
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -494,14 +496,7 @@ def specialize(type_name, matrix_file, rank2, target, out):
     sp = finite_type.specialization_construct(U, target)
     lines = ["target=%s seeds=%d checked=%d" % (target, sp["seeds"], sp["checked"])]
     for name in sorted(sp["phi"]):
-        v = sp["phi"][name]
-        if hasattr(v, "text"):
-            txt = v.text()
-        elif hasattr(v, "exps"):
-            txt = _trop_text(v.exps, v.gens)
-        else:
-            txt = str(v)
-        lines.append("phi(%s) = %s" % (name, txt))
+        lines.append("phi(%s) = %s" % (name, _value_text(sp["phi"][name])))
     _emit("\n".join(lines) + "\n", out)
 
 

@@ -235,12 +235,15 @@ def exchange_key(x, col, kk):
 
     x is the cluster, col the full column k of the extended matrix.  The
     key fixes the dividend and the divisor of the exchange relation.
+    Distinct pairs are their own multiset; repeated ones are counted.  The
+    two encodings cannot collide: their elements are (x_i, b_ik) pairs in
+    one and ((x_i, b_ik), count) pairs in the other.
     """
-    return (
-        x[kk],
-        frozenset(Counter((v, b) for v, b in zip(x, col) if b).items()),
-        tuple(col[len(x):]),
-    )
+    pairs = [(v, b) for v, b in zip(x, col) if b]
+    multiset = frozenset(pairs)
+    if len(multiset) != len(pairs):
+        multiset = frozenset(Counter(pairs).items())
+    return x[kk], multiset, tuple(col[len(x):])
 
 
 def mutate_seed_geometric(seed, k):

@@ -140,8 +140,10 @@ class PrincipalPattern:
         g0 = tuple(tuple(1 if i == ell else 0 for i in range(n)) for ell in range(n))
         self._states = {(): PatternState(Bt0, X0, F0, g0)}
         self._b0cols = [tuple(self.B0[i][j] for i in range(n)) for j in range(n)]
-        # exchange_key -> (X_k', F_k', g-vector of X_k'); (F, kk) -> h
+        # exchange_key -> (X_k', F_k', g-vector of X_k'); each X_k' and F_k'
+        # -> itself; (F, kk) -> h
         self._exchanges = {}
+        self._interned = {v: v for v in X0 + F0}
         self._hvals = {}
 
     # -- walking ------------------------------------------------------
@@ -162,7 +164,12 @@ class PrincipalPattern:
         key = exchange_key(st.X, col, kk)
         ex = self._exchanges.get(key)
         if ex is None:
-            ex = self._exchanges[key] = self._exchange(st, k, col)
+            Xk, Fk, gk = self._exchange(st, k, col)
+            # equal cluster variables of two relations become one object,
+            # so later dict lookups on them hit by identity
+            Xk = self._interned.setdefault(Xk, Xk)
+            Fk = self._interned.setdefault(Fk, Fk)
+            ex = self._exchanges[key] = (Xk, Fk, gk)
         Xk, Fk, gk_deg = ex
         X = list(st.X)
         X[kk] = Xk
@@ -424,14 +431,19 @@ def g_transition(B0, k, path, ell, patterns=None, return_h=False):
     return gp
 
 
+def _mutated_path(k, path):
+    """The vertex of the pattern of mu_k(B0) whose seed is the seed at path
+    of the pattern of B0: path read from the initial seed mu_k(t0)."""
+    return path[1:] if path[:1] == (k,) else (k,) + path
+
+
 def _g_transition(pat0, pat1, k, path, ell):
     """g_transition on the patterns of B0 and mu_k(B0); returns (g', h_k, h'_k)."""
     B0 = pat0.B0
     n = pat0.n
     path = tuple(path)
-    path1 = path[1:] if path[:1] == (k,) else (k,) + path
     st0 = pat0.state(path)
-    st1 = pat1.state(path1)
+    st1 = pat1.state(_mutated_path(k, path))
     g = st0.g[ell - 1]
     gp = st1.g[ell - 1]
     kk = k - 1
@@ -545,6 +557,50 @@ def _dominating_term(F):
     return best
 
 
+def _f_verdicts(F):
+    """(constant term 1, positive coefficients, unique dominating monomial
+    with coefficient 1) of an F-polynomial."""
+    dom = _dominating_term(F)
+    return (
+        F.constant_term() == 1,
+        all(c > 0 for c in F.terms.values()),
+        dom is not None and F.terms[dom] == 1,
+    )
+
+
+def _transition_verdict(pat0, pat1, k, path, ell):
+    """(failure message or None, h_equals_min_0_g, g_transition_rule) for
+    the cluster variable (path, ell) of pat0 under the change of initial
+    seed to pat1, the pattern of mu_k(B0)."""
+    try:
+        gp, hk, hpk = _g_transition(pat0, pat1, k, path, ell)
+    except CrossCheckFailure as exc:
+        return str(exc), None, None
+    B0 = pat0.B0
+    g = pat0.state(path).g[ell - 1]
+    kk = k - 1
+    h_ok = hpk == -_pos(g[kk]) and hk == min(0, g[kk])
+    # conjectured closed form h'_k = -[g_k]+ via the dual rule
+    pred = list(g)
+    pred[kk] = -g[kk]
+    for j in range(pat0.n):
+        if j != kk:
+            pred[j] = g[j] + _pos(B0[j][kk]) * g[kk] - B0[j][kk] * min(g[kk], 0)
+    return None, h_ok, tuple(pred) == gp
+
+
+# checked on every (seed, ell); d_through_F only where X is not a monomial
+_PER_VARIABLE_CHECKS = (
+    "f_constant_term_1",
+    "f_positive_coefficients",
+    "f_unique_dominating_monomial",
+    "c_vector_sign_coherent",
+    "three_equivalences_consistent",
+    "d_plus_g_through_F",
+    "d_through_F",
+)
+
+
 def conjecture_suite(
     B0, max_seeds=500, max_depth=None, transition_checks=True, paths=None
 ):
@@ -561,13 +617,10 @@ def conjecture_suite(
         complete = False
     else:
         pat, seen, complete = enumerate_pattern(B0, max_seeds, max_depth)
-    checks = {}
+    violations = {}
 
-    def record(name, ok, detail):
-        entry = checks.setdefault(name, {"name": name, "instances": 0, "violations": []})
-        entry["instances"] += 1
-        if not ok:
-            entry["violations"].append(detail)
+    def violate(name, path, detail=""):
+        violations.setdefault(name, []).append("path=%s%s" % (list(path), detail))
 
     # built once per suite: the patterns of -B0 and of each mu_k(B0), the
     # tropical assignments, and the substitution y_j -> y_j^{-1}
@@ -576,115 +629,117 @@ def conjecture_suite(
     mutated = [_pattern(patterns, mutate_matrix(B0, k)) for k in range(1, n + 1)]
     assignments = _d_g_assignments(pat)
     inv_sub = {v: LaurentPolynomial.var(pat.yvars, v, -1) for v in pat.yvars}
-    # per-variable verdicts, computed once per distinct input and recorded
-    # once per instance: X fixes F and g within pat, so the d/g relation
-    # is keyed by X; the y -> y^{-1} image of a -B0 F-polynomial by itself
+    # Verdicts are computed once per distinct input and recorded once per
+    # instance.  Within one pattern X fixes F (X at x = 1) and g (its
+    # multidegree), so the d/g relation is keyed by X and the F checks by
+    # F.  A transition verdict is keyed by (k, X, X'), X' being variable ell
+    # at _mutated_path(k, path) in the pattern of mu_k(B0): X and X' fix g,
+    # g', h_k and h'_k, which are all that _g_transition and the two rules
+    # read.  This needs no theorem; it is what the checks compute from.
+    f_verdicts = {}
     d_g_verdicts = {}
     neg_images = {}
+    transitions = {}
+    non_monomial = 0
+    failed = 0
 
-    def d_g_verdict(st, ell):
-        X = st.X[ell]
-        if X not in d_g_verdicts:
-            d_g_verdicts[X] = _d_g_relation(pat, st, ell, assignments)
-        return d_g_verdicts[X]
-
-    def neg_image(Fn):
-        if Fn not in neg_images:
-            Fn_inv = lp_substitute_monomial(Fn, inv_sub)
-            shift = Fn_inv.min_exponents()
-            neg_images[Fn] = Fn_inv.shift(tuple(-a for a in shift))
-        return neg_images[Fn]
-
-    for sig, path in seen.items():
+    for path in seen.values():
         st = pat.state(path)
-        at = "path=%s" % (list(path),)
         for ell in range(n):
+            X = st.X[ell]
             F = st.F[ell]
-            where = "%s ell=%d" % (at, ell + 1)
-            record("f_constant_term_1", F.constant_term() == 1, where)
-            record(
-                "f_positive_coefficients",
-                all(c > 0 for c in F.terms.values()),
-                where,
-            )
-            dom = _dominating_term(F)
-            record(
-                "f_unique_dominating_monomial",
-                dom is not None and F.terms[dom] == 1,
-                where,
-            )
+            fv = f_verdicts.get(F)
+            if fv is None:
+                fv = f_verdicts[F] = _f_verdicts(F)
+            const_ok, positive, dominating = fv
             c = st.c_vector(ell + 1)
             coherent = all(v >= 0 for v in c) or all(v <= 0 for v in c)
-            record("c_vector_sign_coherent", coherent, where)
             # three equivalent conditions agree
-            pplus_trivial = all(_pos(v) == 0 for v in c)
-            pminus_trivial = all(_pos(-v) == 0 for v in c)
-            exactly_one = pplus_trivial != pminus_trivial
-            record(
-                "three_equivalences_consistent",
-                (F.constant_term() == 1) == coherent == exactly_one,
-                where,
-            )
+            exactly_one = any(v > 0 for v in c) != any(v < 0 for v in c)
             # d+g through tropical F (exact statement) and d through F (conjecture)
-            exact, conjectural = d_g_verdict(st, ell)
-            record("d_plus_g_through_F", exact, where)
+            dg = d_g_verdicts.get(X)
+            if dg is None:
+                dg = d_g_verdicts[X] = _d_g_relation(pat, st, ell, assignments)
+            exact, conjectural = dg
             if conjectural is not None:
-                record("d_through_F", conjectural, where)
+                non_monomial += 1
+            verdicts = (
+                const_ok,
+                positive,
+                dominating,
+                coherent,
+                const_ok == coherent == exactly_one,
+                exact,
+                conjectural is not False,
+            )
+            if all(verdicts):
+                continue
+            for name, ok in zip(_PER_VARIABLE_CHECKS, verdicts):
+                if not ok:
+                    violate(name, path, " ell=%d" % (ell + 1))
         # g-vector sign coherence across the cluster, per coordinate
         gs = st.g
-        ok = all(
+        if not all(
             all(gs[ell][i] >= 0 for ell in range(n))
             or all(gs[ell][i] <= 0 for ell in range(n))
             for i in range(n)
-        )
-        record("g_vectors_sign_coherent", ok, at)
+        ):
+            violate("g_vectors_sign_coherent", path)
         # F under B vs -B
         stn = negpat.state(path)
         for ell in range(n):
-            record(
-                "f_B_vs_negB",
-                st.F[ell] == neg_image(stn.F[ell]),
-                "%s ell=%d" % (at, ell + 1),
-            )
+            Fn = stn.F[ell]
+            image = neg_images.get(Fn)
+            if image is None:
+                Fn_inv = lp_substitute_monomial(Fn, inv_sub)
+                shift = Fn_inv.min_exponents()
+                image = neg_images[Fn] = Fn_inv.shift(tuple(-a for a in shift))
+            if st.F[ell] != image:
+                violate("f_B_vs_negB", path, " ell=%d" % (ell + 1))
         # transition rules at every direction k
-        if transition_checks:
-            for k in range(1, n + 1):
-                for ell in range(1, n + 1):
-                    g = st.g[ell - 1]
-                    where = "%s k=%d ell=%d" % (at, k, ell)
-                    try:
-                        gp, hk, hpk = _g_transition(
-                            pat, mutated[k - 1], k, path, ell
+        if not transition_checks:
+            continue
+        for k in range(1, n + 1):
+            pat1 = mutated[k - 1]
+            try:
+                X1 = pat1.state(_mutated_path(k, path)).X
+            except CrossCheckFailure as exc:
+                X1, walk_failure = None, (str(exc), None, None)
+            for ell in range(1, n + 1):
+                if X1 is None:
+                    verdict = walk_failure
+                else:
+                    key = (k, st.X[ell - 1], X1[ell - 1])
+                    verdict = transitions.get(key)
+                    if verdict is None:
+                        verdict = transitions[key] = _transition_verdict(
+                            pat, pat1, k, path, ell
                         )
-                    except CrossCheckFailure as exc:
-                        record(
-                            "h_and_g_transition_exact",
-                            False,
-                            "%s: %s" % (where, exc),
-                        )
-                        continue
-                    record("h_and_g_transition_exact", True, "")
-                    record(
-                        "h_equals_min_0_g",
-                        hpk == -_pos(g[k - 1]) and hk == min(0, g[k - 1]),
-                        where,
+                message, h_ok, rule_ok = verdict
+                if message is not None:
+                    failed += 1
+                    violate(
+                        "h_and_g_transition_exact",
+                        path,
+                        " k=%d ell=%d: %s" % (k, ell, message),
                     )
-                    # conjectured closed form h'_k = -[g_k]+ via the dual rule
-                    kk = k - 1
-                    pred = list(g)
-                    pred[kk] = -g[kk]
-                    for j in range(n):
-                        if j == kk:
-                            continue
-                        pred[j] = (
-                            g[j]
-                            + _pos(B0[j][kk]) * g[kk]
-                            - B0[j][kk] * min(g[kk], 0)
-                        )
-                    record(
-                        "g_transition_rule",
-                        tuple(pred) == tuple(gp),
-                        where,
-                    )
-    report = sorted(checks.values(), key=lambda e: e["name"])
+                    continue
+                if not h_ok:
+                    violate("h_equals_min_0_g", path, " k=%d ell=%d" % (k, ell))
+                if not rule_ok:
+                    violate("g_transition_rule", path, " k=%d ell=%d" % (k, ell))
+    per_ell = len(seen) * n
+    instances = dict.fromkeys(_PER_VARIABLE_CHECKS + ("f_B_vs_negB",), per_ell)
+    instances["d_through_F"] = non_monomial
+    instances["g_vectors_sign_coherent"] = len(seen)
+    if transition_checks:
+        instances["h_and_g_transition_exact"] = per_ell * n
+        instances["h_equals_min_0_g"] = instances["g_transition_rule"] = (
+            per_ell * n - failed
+        )
+    report = [
+        {"name": name, "instances": count, "violations": violations.get(name, [])}
+        for name, count in sorted(instances.items())
+        if count
+    ]
     return {"complete": complete, "seeds": len(seen), "checks": report}

@@ -2,7 +2,7 @@
 
 A semifield here is a multiplicative abelian group with an auxiliary
 addition ``oplus`` distributing over multiplication.  Subtraction-free
-expression trees evaluate uniformly in any instance.
+polynomials evaluate uniformly in any instance (`sf_eval_poly`).
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ class GeneratorMismatch(ValueError):
 
 
 class NonPositiveCoefficient(ValueError):
-    pass
-
-
-class DivisionByAbsorbing(ZeroDivisionError):
     pass
 
 
@@ -234,33 +230,6 @@ class PositiveRationalSemifield(Semifield):
         if n <= 0:
             raise ValueError("constants must be positive")
         return Fraction(n)
-
-
-def sf_eval(expr, values, S):
-    """Evaluate a subtraction-free expression tree in semifield S.
-
-    Nodes: ("var", name), ("const", n>0), ("add", a, b), ("mul", a, b),
-    ("div", a, b), ("pow", a, k).
-    """
-    op = expr[0]
-    if op == "var":
-        return values[expr[1]]
-    if op == "const":
-        return S.from_const(expr[1])
-    if op == "add":
-        return S.oplus(sf_eval(expr[1], values, S), sf_eval(expr[2], values, S))
-    if op == "mul":
-        return S.mul(sf_eval(expr[1], values, S), sf_eval(expr[2], values, S))
-    if op == "div":
-        den = sf_eval(expr[2], values, S)
-        try:
-            inv = S.inverse(den)
-        except ZeroDivisionError as exc:
-            raise DivisionByAbsorbing(str(exc)) from exc
-        return S.mul(sf_eval(expr[1], values, S), inv)
-    if op == "pow":
-        return S.power(sf_eval(expr[1], values, S), expr[2])
-    raise ValueError("unknown node %r" % (op,))
 
 
 def sf_eval_poly(F, assign, S):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clusteralg.belt_modp as belt_modp
+import clusteralg.bipartite as bipartite
 from belt_reference import belt_f_reference, distinct_reference, periodicity_reference
 from clusteralg.bipartite import (
     Belt,
@@ -46,6 +47,22 @@ def test_coxeter_numbers():
         assert coxeter_data(A)["h"] == h
         assert coxeter_data(A)["finite_type"]
     assert not coxeter_data(((2, -2), (-2, 2)))["finite_type"]
+
+
+def test_coxeter_order_is_searched_only_in_finite_type(monkeypatch):
+    products = []
+    mat_mul = bipartite._mat_mul
+
+    def counting(A, B):
+        products.append(A)
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(bipartite, "_mat_mul", counting)
+    affine = coxeter_data(((2, -2), (-2, 2)))
+    assert affine["h"] is None and not affine["finite_type"]
+    assert products == []
+    assert coxeter_data(CARTAN["G2"])["h"] == 6
+    assert len(products) == 6
 
 
 def test_orbit_vectors_a2_chain():
@@ -484,13 +501,7 @@ def test_belt_f_recurrence_rejects_a_degree_box_one_too_small(monkeypatch):
 
 
 def test_not_bipartite_rejected():
-    B = (
-        (0, 1, 0),
-        (-1, 0, 1),
-        (0, -1, 0),
-    )
-    # mutating A3's bipartite matrix at the middle vertex gives a
-    # non-bipartite orientation only in larger examples; use a direct one
+    # an oriented 3-cycle: b_12 > 0 asks for eps_2 = -1, b_23 > 0 for eps_2 = +1
     with pytest.raises(NotBipartite):
         Belt(((0, 1, -1), (-1, 0, 1), (1, -1, 0)))
 

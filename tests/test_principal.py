@@ -1,5 +1,6 @@
 """Principal-coefficient patterns, separation, and the property audit."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from clusteralg.semifield import (
     TropicalSemifield,
     UniversalSemifield,
 )
+from suite_reference import suite_reference
 
 A2 = named_matrix("A2")
 assert A2 == ((0, 1), (-1, 0))
@@ -307,6 +309,115 @@ def test_conjecture_suite_restricted_paths():
     assert not report["complete"]
     for entry in report["checks"]:
         assert entry["violations"] == []
+
+
+ORACLE_TYPES = ("A2", "A3", "B3", "G2")
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_conjecture_suite_equals_the_per_instance_oracle(name):
+    assert conjecture_suite(named_matrix(name)) == suite_reference(named_matrix(name))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_conjecture_suite_records_an_injected_failure_on_every_instance(
+    monkeypatch, name
+):
+    B = named_matrix(name)
+    pat = PrincipalPattern(B)
+    bad_x = pat.state((1,)).X[0]
+    bad_f = pat.state((2,)).F[1]
+    transition = principal._g_transition
+    dominating = principal._dominating_term
+
+    def failing_transition(pat0, pat1, k, path, ell):
+        if k == 2 and pat0.state(path).X[ell - 1] == bad_x:
+            raise CrossCheckFailure("injected at k=%d" % k)
+        return transition(pat0, pat1, k, path, ell)
+
+    def failing_dominating(F):
+        return None if F == bad_f else dominating(F)
+
+    def failing_d_g(pat_, st_, ell, assignments):
+        return (False, False) if st_.X[ell] == bad_x else d_g(pat_, st_, ell, assignments)
+
+    d_g = principal._d_g_relation
+    monkeypatch.setattr(principal, "_g_transition", failing_transition)
+    monkeypatch.setattr(principal, "_dominating_term", failing_dominating)
+    monkeypatch.setattr(principal, "_d_g_relation", failing_d_g)
+    report = conjecture_suite(B)
+    assert report == suite_reference(B)
+    checks = {c["name"]: c for c in report["checks"]}
+    walked, seen, _ = enumerate_pattern(B)
+    x_hits = [
+        "path=%s ell=%d" % (list(path), ell + 1)
+        for path in seen.values()
+        for ell, X in enumerate(walked.state(path).X)
+        if X == bad_x
+    ]
+    assert len(x_hits) > 1
+    assert checks["h_and_g_transition_exact"]["violations"] == [
+        hit.replace(" ell=", " k=2 ell=") + ": injected at k=2" for hit in x_hits
+    ]
+    transitions = checks["h_and_g_transition_exact"]["instances"]
+    assert checks["g_transition_rule"]["instances"] == transitions - len(x_hits)
+    assert checks["h_equals_min_0_g"]["instances"] == transitions - len(x_hits)
+    assert len(checks["f_unique_dominating_monomial"]["violations"]) > 1
+    assert checks["d_plus_g_through_F"]["violations"] == x_hits
+    assert checks["d_through_F"]["violations"] == x_hits
+    injected = ("h_and_g_transition_exact", "f_unique_dominating_monomial",
+                "d_plus_g_through_F", "d_through_F")
+    assert all(c["violations"] == [] for c in report["checks"] if c["name"] not in injected)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_conjecture_suite_records_a_failed_walk_on_every_instance(monkeypatch, name):
+    # the pattern of mu_1(B0) fails its first step in direction 2, so each
+    # transition check that reads a vertex below (2,) of it fails
+    B = named_matrix(name)
+    B1 = principal.mutate_matrix(B, 1)
+    assert B1 != tuple(tuple(-v for v in row) for row in B)
+    step = PrincipalPattern._step
+
+    def failing_step(self, state, k):
+        if self.B0 == B1 and k == 2 and state is self._states[()]:
+            raise CrossCheckFailure("injected walk failure")
+        return step(self, state, k)
+
+    monkeypatch.setattr(PrincipalPattern, "_step", failing_step)
+    report = conjecture_suite(B)
+    assert report == suite_reference(B)
+    exact = {c["name"]: c for c in report["checks"]}["h_and_g_transition_exact"]
+    # mu_1(t0) followed by (2, ...) is the vertex (1, 2, ...) of B0's pattern
+    pattern = r"path=\[1, 2(, \d)*\] k=1 ell=\d: injected walk failure"
+    assert len(exact["violations"]) > 1
+    assert all(re.fullmatch(pattern, v) for v in exact["violations"])
+
+
+@pytest.mark.parametrize("name, calls", [("A3", 27), ("B3", 36)])
+def test_conjecture_suite_runs_each_transition_once(monkeypatch, name, calls):
+    # one _g_transition per (k, X, X'): k times the 9 cluster variables of
+    # A3 and the 12 of B3, against 756 and 360 instances
+    seen = []
+    transition = principal._g_transition
+
+    def counting(pat0, pat1, k, path, ell):
+        seen.append((k, path, ell))
+        return transition(pat0, pat1, k, path, ell)
+
+    monkeypatch.setattr(principal, "_g_transition", counting)
+    conjecture_suite(named_matrix(name))
+    assert len(seen) == calls
+
+
+def test_pattern_keeps_one_object_per_cluster_variable():
+    pat, seen, _ = enumerate_pattern(named_matrix("A3"))
+    first = {}
+    for path in seen.values():
+        st_ = pat.state(path)
+        for v in st_.X + st_.F:
+            assert first.setdefault(v, v) is v
+    assert len([v for v in first if v.vars == pat.vars]) == 9
 
 
 def test_exchange_table_divides_each_relation_once(monkeypatch):
