@@ -165,8 +165,8 @@ class PrincipalPattern:
         ex = self._exchanges.get(key)
         if ex is None:
             Xk, Fk, gk = self._exchange(st, k, col)
-            # equal cluster variables of two relations become one object,
-            # so later dict lookups on them hit by identity
+            # equal cluster variables of two relations become one object:
+            # the states hold one copy, and dict lookups hit by identity
             Xk = self._interned.setdefault(Xk, Xk)
             Fk = self._interned.setdefault(Fk, Fk)
             ex = self._exchanges[key] = (Xk, Fk, gk)

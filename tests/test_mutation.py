@@ -21,6 +21,7 @@ from clusteralg.mutation import (
     bipartite_matrix_from_cartan,
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
+    exchange_key,
     initial_geometric_seed,
     matrix_from_json,
     matrix_to_json,
@@ -469,3 +470,15 @@ def test_exchange_table_keeps_apart_relations_with_repeated_variables(
         alone = LabeledSeedGeometric(seed.x, seed.Btilde, n, seed.vars)
         assert child.x == mutate_seed_geometric(alone, k).x
         seed = child
+
+
+def test_exchange_key_counts_only_repeated_pairs():
+    # distinct (x_i, b_ik) pairs are the key's set as they are; a repeated
+    # pair is counted, so the dividends p and p^2 get different keys
+    p, q = (LaurentPolynomial.var(("p", "q", "f"), v) for v in "pq")
+    assert exchange_key([q, p], [0, 1, 1], 0) == (q, frozenset({(p, 1)}), (1,))
+    assert exchange_key([q, p, p], [0, 1, 1, 1], 0) == (
+        q,
+        frozenset({((p, 1), 2)}),
+        (1,),
+    )

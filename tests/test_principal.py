@@ -411,6 +411,7 @@ def test_conjecture_suite_runs_each_transition_once(monkeypatch, name, calls):
 
 
 def test_pattern_keeps_one_object_per_cluster_variable():
+    # the states hold one copy of each distinct X and F
     pat, seen, _ = enumerate_pattern(named_matrix("A3"))
     first = {}
     for path in seen.values():
