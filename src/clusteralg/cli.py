@@ -47,6 +47,11 @@ def _load_b(type_name, matrix_file, rank2, btilde_file=None):
     if len(sources) != 1:
         raise UsageError("provide exactly one of --type / --matrix / --rank2 / --btilde")
     if type_name:
+        if type_name not in mutation.CARTAN:
+            raise UsageError(
+                "unknown type %r (known: %s)"
+                % (type_name, ", ".join(sorted(mutation.CARTAN)))
+            )
         return named_matrix(type_name), None
     if rank2:
         try:
@@ -306,7 +311,7 @@ def mutate(type_name, matrix_file, rank2, btilde_file, path_text, as_json, out):
 @click.option("--matrix", "matrix_file", default=None)
 @click.option("--rank2", default=None)
 @click.option("--coeffs", default="trivial", type=click.Choice(["principal", "trivial"]))
-@click.option("--cap", default=100000)
+@click.option("--cap", default=100000, type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", default=None)
 def graph(type_name, matrix_file, rank2, coeffs, cap, as_json, out):
@@ -379,7 +384,7 @@ def belt(type_name, matrix_file, rank2, range_text, coeffs, verify, out):
 @click.option("--type", "type_name", default=None)
 @click.option("--rank2", default=None)
 @click.option("--cartan", "cartan_file", default=None)
-@click.option("--steps", default=6)
+@click.option("--steps", default=6, type=click.IntRange(min=0))
 @click.option("--initial", default="u", type=click.Choice(["u", "y", "ones"]))
 @click.option(
     "--semifield",
@@ -504,8 +509,8 @@ def specialize(type_name, matrix_file, rank2, target, out):
 @click.option("--type", "type_name", default=None)
 @click.option("--matrix", "matrix_file", default=None)
 @click.option("--rank2", default=None)
-@click.option("--cap", default=500)
-@click.option("--depth", default=None, type=int)
+@click.option("--cap", default=500, type=click.IntRange(min=1))
+@click.option("--depth", default=None, type=click.IntRange(min=0))
 @click.option("--out", default=None)
 def check(type_name, matrix_file, rank2, cap, depth, out):
     """Structural-property audit over an enumerated pattern."""

@@ -10,11 +10,14 @@ from .bipartite import (
     coxeter_data,
     orbit_vector,
     tau_action,
+    y_system_solve,
 )
-from .laurent import LaurentPolynomial, lp_canonical_text, lp_denominator_vector
+from .exchange_graph import build_exchange_graph
+from .laurent import LaurentPolynomial, lp_denominator_vector
 from .mutation import (
     LabeledYSeed,
     _pos,
+    bipartite_matrix_from_cartan,
     cartan_counterpart_and_sign,
     initial_geometric_seed,
     matrix,
@@ -230,26 +233,20 @@ def universal_build(B, periods=2):
     )
     steps = periods * (h + 2) + 1
     initial = [from_coords(lambda w, j=j: -w[j]) for j in range(n)]
-    from .bipartite import y_system_solve
-
     vals = y_system_solve(A, S, steps=2 * steps, initial_values=initial, eps=eps)
-    # closed form via the piecewise-linear action of the transpose on coroots
+    # closed form via the piecewise-linear action of the transpose on coroots;
+    # iterates[s][r]: the coroots after r steps of tau, alternating from sign s
     AT = tuple(zip(*A))
+    r_of = {m: -m - 1 if m < 0 else m for _, m in vals}
+    iterates = {s: [coroots] for s in (1, -1)}
+    for r in range(max(r_of.values())):
+        for s, seq in iterates.items():
+            seq.append([tau_action(AT, eps, s * (-1) ** r, v) for v in seq[-1]])
     for (j, m), direct in vals.items():
-        if m < 0:
-            r = -m - 1
-        else:
-            r = m
+        r = r_of[m]
         sign0 = eps[j - 1] * (1 if (r - 1) % 2 == 0 else -1)
-        exps = []
-        for w in coroots:
-            v = w
-            s = sign0
-            for _ in range(r):
-                v = tau_action(AT, eps, s, v)
-                s = -s
-            exps.append(-v[j - 1])
-        if S.monomial(tuple(exps)) != direct:
+        exps = tuple(-v[j - 1] for v in iterates[sign0][r])
+        if S.monomial(exps) != direct:
             raise CrossCheckFailure(
                 "universal closed form disagrees at (%d;%d)" % (j, m)
             )
@@ -272,57 +269,40 @@ def universal_build(B, periods=2):
     }
 
 
-def universal_exchange_relations(U, cap=10000):
-    """Enumerate the exchange relations of the geometric realization,
-    labeling cluster variables by their denominator roots."""
+def universal_exchange_relations(U):
+    """The exchange relations of the geometric realization, read off its
+    exchange graph (the same graph for every choice of coefficients, FZ IV
+    Thm 4.6), with cluster variables labeled by their denominator roots."""
     Bt = U["Btilde"]
     n = len(U["B"])
     names = tuple("x%d" % (i + 1) for i in range(n)) + U["gen_names"]
-    seed = initial_geometric_seed(Bt, names)
-    seen = {}
-    frontier = [seed]
+    g = build_exchange_graph(initial_geometric_seed(Bt, names))
+    if not g["finite"]:
+        raise VerificationFailure("exchange graph exceeds %d seeds" % g["vertices"])
+    distinct = {x for s in g["seeds"].values() for x in s.x}
+    label = {x: root_name(lp_denominator_vector(x, n)) for x in distinct}
     relations = {}
-
-    def var_label(p):
-        return root_name(lp_denominator_vector(p, n))
-
-    def key(s):
-        return tuple(sorted(lp_canonical_text(x) for x in s.x))
-
-    seen[key(seed)] = True
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for k in range(1, n + 1):
-                s2 = mutate_seed_geometric(s, k)
-                beta = var_label(s.x[k - 1])
-                beta2 = var_label(s2.x[k - 1])
-                pair = tuple(sorted((beta, beta2)))
-                if pair not in relations:
-                    terms = []
-                    for sgn in (1, -1):
-                        coeff = [0] * len(U["gen_names"])
-                        factors = {}
-                        for i in range(len(Bt)):
-                            e = _pos(sgn * s.Btilde[i][k - 1])
-                            if not e:
-                                continue
-                            if i < n:
-                                lab = var_label(s.x[i])
-                                factors[lab] = factors.get(lab, 0) + e
-                            else:
-                                coeff[i - n] += e
-                        terms.append(
-                            (tuple(coeff), tuple(sorted(factors.items())))
-                        )
-                    relations[pair] = tuple(sorted(terms))
-                k2 = key(s2)
-                if k2 not in seen:
-                    if len(seen) > cap:
-                        raise VerificationFailure("relation enumeration cap exceeded")
-                    seen[k2] = True
-                    nxt.append(s2)
-        frontier = nxt
+    for s in g["seeds"].values():
+        for k in range(1, n + 1):
+            s2 = mutate_seed_geometric(s, k)
+            pair = tuple(sorted((label[s.x[k - 1]], label[s2.x[k - 1]])))
+            if pair in relations:
+                continue
+            terms = []
+            for sgn in (1, -1):
+                coeff = [0] * len(U["gen_names"])
+                factors = {}
+                for i in range(len(Bt)):
+                    e = _pos(sgn * s.Btilde[i][k - 1])
+                    if not e:
+                        continue
+                    if i < n:
+                        lab = label[s.x[i]]
+                        factors[lab] = factors.get(lab, 0) + e
+                    else:
+                        coeff[i - n] += e
+                terms.append((tuple(coeff), tuple(sorted(factors.items()))))
+            relations[pair] = tuple(sorted(terms))
     return relations
 
 
@@ -363,8 +343,6 @@ def specialization_construct(U, target="principal", cap=20000):
     A, eps, h = U["A"], U["eps"], U["h"]
     B = U["B"]
     n = len(A)
-    from .bipartite import y_system_solve
-
     if target == "principal":
         Sbar = TropicalSemifield(tuple("y%d" % (i + 1) for i in range(n)))
         tgt_vals = y_system_solve(
@@ -458,8 +436,6 @@ def rank2_mci_verify(A, coeffs="universal"):
     h = rs["h"]
     eps = rs["eps"]
     period = h + 2
-    from .mutation import bipartite_matrix_from_cartan
-    from .bipartite import y_system_solve
 
     B = bipartite_matrix_from_cartan(A, eps)
     if coeffs == "universal":

@@ -86,11 +86,27 @@ def test_ysystem_command():
     assert "y[1;3]" in out.stdout
 
 
-def test_universal_and_specialize():
-    out = run_cli("universal", "--type", "A2")
-    assert "p[a1+a2]" in out.stdout
-    out = run_cli("specialize", "--type", "A2", "--target", "principal")
-    assert "phi(p[a1]) = y1" in out.stdout
+def _stdout_in_process(monkeypatch, capsys, *args):
+    monkeypatch.setattr(sys, "argv", ["cluster", *args])
+    cli.run()
+    return capsys.readouterr().out
+
+
+def test_universal_and_specialize(monkeypatch, capsys):
+    out = _stdout_in_process(monkeypatch, capsys, "universal", "--type", "A2")
+    assert "p[a1+a2]" in out
+    out = _stdout_in_process(
+        monkeypatch, capsys, "specialize", "--type", "A2", "--target", "principal"
+    )
+    assert "phi(p[a1]) = y1" in out
+
+
+def test_universal_d4_matches_expected_file(monkeypatch, capsys):
+    expected = open(
+        os.path.join(PKG_ROOT, "tests", "data", "universal_D4_expected.txt")
+    ).read()
+    out = _stdout_in_process(monkeypatch, capsys, "universal", "--type", "D4")
+    assert out == expected
 
 
 @pytest.mark.parametrize("command", ["universal", "specialize"])
@@ -336,3 +352,46 @@ def test_input_file_that_is_not_utf8_is_a_usage_error(tmp_path, monkeypatch, cap
     assert out.out == ""
     assert out.err.startswith("usage error: --matrix ")
     assert len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "walk", "f-poly", "g-vector", "d-vector", "mutate", "graph", "belt",
+        "ysystem", "universal", "specialize", "check",
+    ],
+)
+def test_unknown_type_is_a_usage_error(monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "argv", ["cluster", command, "--type", "Z3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err == (
+        "usage error: unknown type 'Z3' (known: A1, A1xA1, A2, A3, A4, B2, B3, "
+        "C3, D4, E6, E7, E8, G2)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["graph", "--cap", "-1"],
+        ["graph", "--cap", "0"],
+        ["check", "--cap", "-1"],
+        ["check", "--depth", "-1"],
+        ["ysystem", "--steps", "-1"],
+    ],
+    ids=["graph-cap", "graph-cap-zero", "check-cap", "check-depth", "ysystem-steps"],
+)
+def test_a_count_out_of_range_is_a_usage_error(monkeypatch, capsys, args):
+    command, flag, value = args
+    monkeypatch.setattr(sys, "argv", ["cluster", command, "--type", "A2", flag, value])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("usage error: Invalid value for '%s': %s " % (flag, value))

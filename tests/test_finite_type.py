@@ -2,8 +2,10 @@
 
 import pytest
 
+from clusteralg import exchange_graph, finite_type
 from clusteralg.finite_type import (
     NotFiniteType,
+    VerificationFailure,
     fibonacci_polynomials,
     fibonacci_recurrence_check,
     rank2_mci_verify,
@@ -15,6 +17,7 @@ from clusteralg.finite_type import (
 )
 from clusteralg.laurent import lp_canonical_text
 from clusteralg.mutation import CARTAN, named_matrix
+from universal_reference import universal_relations_reference
 
 YV = ("y1", "y2")
 
@@ -162,6 +165,27 @@ def test_universal_a2_exchange_relations():
         )
     )
     assert rels[key] == want
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A1xA1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
+    + [pytest.param("E6", marks=pytest.mark.slow)],
+)
+def test_universal_exchange_relations_match_the_labeled_bfs(name):
+    U = universal_build(named_matrix(name))
+    assert universal_exchange_relations(U) == universal_relations_reference(U)
+
+
+def test_universal_exchange_relations_refuse_a_truncated_exchange_graph(monkeypatch):
+    # A3 has 14 seeds: a graph cut at 5 must give no relations at all
+    monkeypatch.setattr(
+        finite_type,
+        "build_exchange_graph",
+        lambda seed: exchange_graph.build_exchange_graph(seed, cap=5),
+    )
+    with pytest.raises(VerificationFailure, match="exceeds 5 seeds"):
+        universal_exchange_relations(universal_build(named_matrix("A3")))
 
 
 def test_specializations_verify():
