@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .laurent import LaurentPolynomial, RationalExpression
+from .laurent import LaurentPolynomial, RationalExpression, lp_denominator_vector
 from .mutation import (
     _pos,
     bipartite_sign_from_cartan,
@@ -396,8 +396,6 @@ def belt_verify(B, m_range=None):
                 continue
             X = belt.x_im(i, m)
             d = orbit_vector(A, eps, i - 1, m, tau_action)
-            from .laurent import lp_denominator_vector
-
             note(lp_denominator_vector(X, n) == d, "d(%d;%d)" % (i, m))
             g = belt.pattern.g_value(belt.path(m), i)
             note(

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 import click
 
-from . import bipartite, exchange_graph, finite_type, mutation, principal
+from . import bipartite, exchange_graph, finite_type, laurent, mutation, principal
 from .laurent import LaurentPolynomial, lp_canonical_text, lp_substitute_monomial
 from .mutation import (
     InvalidDirection,
@@ -134,7 +135,7 @@ def _emit(text, out):
         click.echo(text, nl=False)
 
 
-def _poly_fraction_text(p, variables):
+def _poly_fraction_text(p):
     """Render a Laurent polynomial as numerator / monomial-denominator."""
     mins = p.min_exponents()
     den = tuple(-min(v, 0) for v in mins)
@@ -151,25 +152,24 @@ def _poly_fraction_text(p, variables):
 
 
 def _oplus_text(p):
-    parts = []
-    for e, c in p.sorted_terms():
-        mono = lp_canonical_text(LaurentPolynomial(p.vars, {e: c}))
-        parts.append(mono)
-    return " (+) ".join(parts) if parts else "0"
+    monos = (LaurentPolynomial(p.vars, {e: c}) for e, c in p.sorted_terms())
+    return " (+) ".join(map(lp_canonical_text, monos)) or "0"
 
 
 def _trop_text(exps, gens):
-    mono = LaurentPolynomial.monomial(gens, exps)
-    return lp_canonical_text(mono)
+    return lp_canonical_text(LaurentPolynomial.monomial(gens, exps))
 
 
 def _value_text(v):
     """A semifield value as text: universal, tropical or a rational."""
-    if hasattr(v, "text"):
-        return v.text()
-    if hasattr(v, "exps"):
-        return _trop_text(v.exps, v.gens)
-    return str(v)
+    return v.text() if hasattr(v, "text") else str(v)
+
+
+def _b_options(command):
+    """--type, --matrix and --rank2: the ways to give B to _load_b."""
+    for args in (("--rank2",), ("--matrix", "matrix_file"), ("--type", "type_name")):
+        command = click.option(*args, default=None)(command)
+    return command
 
 
 @click.group()
@@ -192,7 +192,7 @@ def _walk_text(B0, path):
             lines.append("y[%d] = %s" % (j + 1, _trop_text(c, yvars)))
         for j in range(n):
             lines.append(
-                "X[%d] = %s" % (j + 1, _poly_fraction_text(st.X[j], pat.vars))
+                "X[%d] = %s" % (j + 1, _poly_fraction_text(st.X[j]))
             )
         for j in range(n):
             lines.append("F[%d] = %s" % (j + 1, lp_canonical_text(st.F[j])))
@@ -201,7 +201,7 @@ def _walk_text(B0, path):
         for j in range(n):
             sub = lp_substitute_monomial(st.F[j], mapping)
             lines.append(
-                "Fhat[%d] = %s" % (j + 1, _poly_fraction_text(sub, pat.vars))
+                "Fhat[%d] = %s" % (j + 1, _poly_fraction_text(sub))
             )
         for j in range(n):
             lines.append("FP[%d] = %s" % (j + 1, _oplus_text(st.F[j])))
@@ -214,9 +214,7 @@ def _walk_text(B0, path):
 
 
 @main.command()
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--path", "path_text", default="")
 @click.option("--out", default=None)
 def walk(type_name, matrix_file, rank2, path_text, out):
@@ -226,9 +224,7 @@ def walk(type_name, matrix_file, rank2, path_text, out):
 
 
 @main.command(name="f-poly")
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--path", "path_text", default="")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", default=None)
@@ -238,12 +234,8 @@ def f_poly(type_name, matrix_file, rank2, path_text, as_json, out):
     pat = PrincipalPattern(B)
     st = pat.state(_parse_path(path_text))
     if as_json:
-        from .laurent import lp_to_json
-
-        _emit(
-            json.dumps({"F": [lp_to_json(f) for f in st.F]}, sort_keys=True) + "\n",
-            out,
-        )
+        F = [laurent.lp_to_json(f) for f in st.F]
+        _emit(json.dumps({"F": F}, sort_keys=True) + "\n", out)
         return
     lines = [
         "F[%d] = %s" % (j + 1, lp_canonical_text(st.F[j])) for j in range(pat.n)
@@ -252,9 +244,7 @@ def f_poly(type_name, matrix_file, rank2, path_text, as_json, out):
 
 
 @main.command(name="g-vector")
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--path", "path_text", default="")
 @click.option("--out", default=None)
 def g_vector(type_name, matrix_file, rank2, path_text, out):
@@ -267,9 +257,7 @@ def g_vector(type_name, matrix_file, rank2, path_text, out):
 
 
 @main.command(name="d-vector")
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--path", "path_text", default="")
 @click.option("--out", default=None)
 def d_vector(type_name, matrix_file, rank2, path_text, out):
@@ -284,9 +272,7 @@ def d_vector(type_name, matrix_file, rank2, path_text, out):
 
 
 @main.command()
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--btilde", "btilde_file", default=None)
 @click.option("--path", "path_text", default="")
 @click.option("--json", "as_json", is_flag=True)
@@ -307,9 +293,7 @@ def mutate(type_name, matrix_file, rank2, btilde_file, path_text, as_json, out):
 
 
 @main.command()
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--coeffs", default="trivial", type=click.Choice(["principal", "trivial"]))
 @click.option("--cap", default=100000, type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
@@ -341,42 +325,32 @@ def graph(type_name, matrix_file, rank2, coeffs, cap, as_json, out):
 
 
 @main.command()
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--range", "range_text", default=None)
-@click.option("--coeffs", default="principal", type=click.Choice(["principal"]))
 @click.option("--verify/--no-verify", default=True)
 @click.option("--out", default=None)
-def belt(type_name, matrix_file, rank2, range_text, coeffs, verify, out):
+def belt(type_name, matrix_file, rank2, range_text, verify, out):
     """Bipartite-belt seeds over an index range, with invariant checks."""
     B, _ = _load_b(type_name, matrix_file, rank2)
+    A, eps = bipartite.cartan_counterpart_and_sign(B)
     if range_text is None:
-        cox = bipartite.coxeter_data(bipartite.cartan_counterpart_and_sign(B)[0])
-        if cox["h"] is None:
+        h = bipartite.coxeter_data(A)["h"]
+        if h is None:
             raise UsageError("--range required for infinite type")
-        m_range = (-cox["h"] - 2, cox["h"] + 1)
+        m_range = (-h - 2, h + 1)
     else:
         m_range = _parse_range(range_text)
     bw = bipartite.belt_walk(B, m_range, verify=verify)
-    A, eps = bipartite.cartan_counterpart_and_sign(B)
     lines = []
     for m in range(m_range[0], m_range[1] + 1):
         for i in range(1, bw.n + 1):
             if eps[i - 1] == (1 if m % 2 == 0 else -1):
-                lines.append(
-                    "x[%d;%d] = %s"
-                    % (i, m, _poly_fraction_text(bw.x_im(i, m), bw.pattern.vars))
-                )
-                lines.append(
-                    "d(%d;%d) = %s"
-                    % (i, m, str(bipartite.orbit_vector(A, eps, i - 1, m, bipartite.tau_action)))
-                )
+                x = _poly_fraction_text(bw.x_im(i, m))
+                d = bipartite.orbit_vector(A, eps, i - 1, m, bipartite.tau_action)
+                lines += ["x[%d;%d] = %s" % (i, m, x), "d(%d;%d) = %s" % (i, m, d)]
             else:
-                lines.append(
-                    "y[%d;%d] = %s"
-                    % (i, m, _trop_text(bw.y_jm_tracked(i, m), bw.pattern.yvars))
-                )
+                y = _trop_text(bw.y_jm_tracked(i, m), bw.pattern.yvars)
+                lines.append("y[%d;%d] = %s" % (i, m, y))
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -405,8 +379,6 @@ def ysystem(type_name, rank2, cartan_file, steps, initial, semifield_name, out):
     n = len(A)
     eps = bipartite.bipartite_sign_from_cartan(A)
     if semifield_name == "numeric" or initial == "ones":
-        from fractions import Fraction
-
         S = PositiveRationalSemifield()
         init_vals = [Fraction(1)] * n
         conv = "u"
@@ -439,9 +411,7 @@ def _universal_build(B):
 
 
 @main.command()
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", default=None)
 def universal(type_name, matrix_file, rank2, as_json, out):
@@ -485,9 +455,7 @@ def universal(type_name, matrix_file, rank2, as_json, out):
 
 
 @main.command()
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option(
     "--target",
     default="principal",
@@ -506,9 +474,7 @@ def specialize(type_name, matrix_file, rank2, target, out):
 
 
 @main.command()
-@click.option("--type", "type_name", default=None)
-@click.option("--matrix", "matrix_file", default=None)
-@click.option("--rank2", default=None)
+@_b_options
 @click.option("--cap", default=500, type=click.IntRange(min=1))
 @click.option("--depth", default=None, type=click.IntRange(min=0))
 @click.option("--out", default=None)
@@ -551,8 +517,6 @@ def run():
     ) as exc:
         click.echo("%s: %s" % (type(exc).__name__, exc), err=True)
         sys.exit(1)
-    except SystemExit:
-        raise
 
 
 if __name__ == "__main__":

@@ -236,33 +236,47 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
 
 
 def _canonical_matrix(Bt, n):
+    """Minimal relabeling of Bt, and the relabeling sigma reaching it."""
     return _block_search(
         _matrix_invariants(Bt, n), lambda sigma: _permute_rows(Bt, n, sigma)
-    )[0]
+    )
 
 
 def mutation_class_finiteness(Btilde, cap=10 ** 4):
     """BFS over matrix mutations with canonicalization; exact class size
-    or cap exceedance."""
+    or cap exceedance.  A finite walk also returns classes, one matrix
+    per class, each reached by mutation from Btilde, and relabelings: the
+    tau with mu_k(M_v) = _permute_rows(M_w, n, tau) over all edges."""
     Bt = matrix(Btilde)
     n = len(Bt[0])
     skew_symmetrizer(principal_part(Bt, n))
-    root = _canonical_matrix(Bt, n)
-    seen = {root}
-    frontier = [Bt]
-    while frontier:
-        nxt = []
-        for M in frontier:
-            for k in range(1, n + 1):
-                M2 = mutate_matrix(M, k)
-                c = _canonical_matrix(M2, n)
-                if c not in seen:
-                    if len(seen) >= cap:
-                        return {"finite": False, "count": None, "cap": cap}
-                    seen.add(c)
-                    nxt.append(M2)
-        frontier = nxt
-    return {"finite": True, "count": len(seen), "cap": cap}
+    root, sigma = _canonical_matrix(Bt, n)
+    seen = {root: sigma}  # canonical form -> its class matrix's relabeling
+    relabelings = set()
+    # one copy of each row, shared by the stored matrices
+    rows = {}
+    # the BFS queue: the loop reaches each class as it is appended
+    classes = [Bt]
+    for M in classes:
+        for k in range(1, n + 1):
+            M2 = mutate_matrix(M, k)
+            c, sigma = _canonical_matrix(M2, n)
+            sigma_w = seen.get(c)
+            if sigma_w is None:
+                if len(seen) >= cap:
+                    return {"finite": False, "count": None, "cap": cap}
+                c = tuple(rows.setdefault(r, r) for r in c)
+                M2 = tuple(rows.setdefault(r, r) for r in M2)
+                sigma_w = seen[c] = sigma
+                classes.append(M2)
+            relabelings.add(tuple(sigma_w[sigma.index(i)] for i in range(n)))
+    return {
+        "finite": True,
+        "count": len(seen),
+        "cap": cap,
+        "classes": classes,
+        "relabelings": sorted(relabelings),
+    }
 
 
 class Inconclusive(RuntimeError):

@@ -12,18 +12,17 @@ from .bipartite import (
     tau_action,
     y_system_solve,
 )
-from .exchange_graph import build_exchange_graph
+from .exchange_graph import build_exchange_graph, mutation_class_finiteness
 from .laurent import LaurentPolynomial, lp_denominator_vector
 from .mutation import (
-    LabeledYSeed,
     _pos,
     bipartite_matrix_from_cartan,
     cartan_counterpart_and_sign,
+    exchanged_variable,
     initial_geometric_seed,
     matrix,
-    mutate_seed_geometric,
-    mutate_y,
     positive_definite,
+    principal_extension,
 )
 from .principal import CrossCheckFailure
 from .semifield import TrivialSemifield, TropicalSemifield
@@ -284,8 +283,8 @@ def universal_exchange_relations(U):
     relations = {}
     for s in g["seeds"].values():
         for k in range(1, n + 1):
-            s2 = mutate_seed_geometric(s, k)
-            pair = tuple(sorted((label[s.x[k - 1]], label[s2.x[k - 1]])))
+            xk = exchanged_variable(s, k)
+            pair = tuple(sorted((label[s.x[k - 1]], label[xk])))
             if pair in relations:
                 continue
             terms = []
@@ -337,12 +336,44 @@ def _belt_primitive_map(U):
     return assign
 
 
-def specialization_construct(U, target="principal", cap=20000):
-    """Unique multiplicative map p[coroot] -> target coefficient, verified
-    by a paired sweep over Y-seed mutations."""
+def _group_order(gens, n):
+    """Order of the group of permutations of range(n) generated by gens.
+    A generator already in the group is skipped, so the closure is redone
+    at most log2(n!) times."""
+    group = [tuple(range(n))]
+    members = set(group)
+    used = []
+    for g in gens:
+        if g not in members:
+            used.append(g)
+            # the loop reaches each element as it is appended
+            for p in group:
+                for s in used:
+                    q = tuple(p[i] for i in s)
+                    if q not in members:
+                        members.add(q)
+                        group.append(q)
+    return len(group)
+
+
+def specialization_construct(U, target="principal"):
+    """Unique multiplicative map p[coroot] -> target coefficient, checked
+    on every pair (universal Y-seed, target Y-seed) reachable by mutation.
+
+    Tropical Y-seed mutation is matrix mutation of the exponent columns
+    (FZ IV section 2), so a pair is B over the universal coefficient rows
+    over the target's (the identity for principal; none for trivial, nor
+    for universal, whose y is the universal y).  Relabeling a pair permutes
+    its 2n checks, so one pair per class of mutation_class_finiteness is
+    checked.  The universal rows hold +-I, so no relabeling fixes a pair,
+    and a class stands for |G| labeled pairs, G the group of the walk's
+    relabelings; seeds counts labeled pairs and checked 2n per pair.
+    """
     A, eps, h = U["A"], U["eps"], U["h"]
-    B = U["B"]
     n = len(A)
+    S = U["semifield"]
+    Bt = U["Btilde"]
+    N = len(Bt) - n
     if target == "principal":
         Sbar = TropicalSemifield(tuple("y%d" % (i + 1) for i in range(n)))
         tgt_vals = y_system_solve(
@@ -350,15 +381,13 @@ def specialization_construct(U, target="principal", cap=20000):
             initial_values=[Sbar.generator("y%d" % (i + 1)) for i in range(n)],
             eps=eps,
         )
-        y_init = tuple(Sbar.generator("y%d" % (j + 1)) for j in range(n))
+        Bt = Bt + principal_extension(U["B"])[n:]
     elif target == "trivial":
         Sbar = TrivialSemifield()
         tgt_vals = None
-        y_init = tuple(Sbar.one() for _ in range(n))
     elif target == "universal":
-        Sbar = U["semifield"]
+        Sbar = S
         tgt_vals = U["solution"]
-        y_init = U["y0"]
     else:
         raise ValueError("unknown target %r" % (target,))
 
@@ -378,48 +407,38 @@ def specialization_construct(U, target="principal", cap=20000):
                 acc = Sbar.mul(acc, Sbar.power(phi[gi], e))
         return acc
 
-    # paired sweep over all Y-seeds reachable from the shared initial B
-    S = U["semifield"]
-    start = (LabeledYSeed(U["y0"], B, S), LabeledYSeed(y_init, B, Sbar))
-
-    def skey(pair):
-        yu, yt = pair
-        tkey = tuple(
-            v.exps if hasattr(v, "exps") else v for v in yt.y
-        )
-        return (yu.B, tuple(v.exps for v in yu.y), tkey)
-
-    seen = {skey(start)}
-    frontier = [start]
-    checked = 0
+    walk = mutation_class_finiteness(Bt, cap=10 ** 5)
+    if not walk["finite"]:
+        raise VerificationFailure("more than %d Y-seed pair classes" % walk["cap"])
     violations = []
-    while frontier:
-        nxt = []
-        for yu, yt in frontier:
-            for j in range(n):
-                lhs = apply_phi(yu.y[j])
-                if not Sbar.eq(lhs, yt.y[j]):
-                    violations.append(("phi(y)", j + 1, yu.y[j].text()))
-                u1 = S.oplus(yu.y[j], S.one())
-                if not Sbar.eq(apply_phi(u1), Sbar.oplus(yt.y[j], Sbar.one())):
-                    violations.append(("phi(y+1)", j + 1, yu.y[j].text()))
-                checked += 2
-            for k in range(1, n + 1):
-                pair = (mutate_y(yu, k), mutate_y(yt, k))
-                kk = skey(pair)
-                if kk not in seen:
-                    if len(seen) > cap:
-                        raise VerificationFailure("specialization sweep cap exceeded")
-                    seen.add(kk)
-                    nxt.append(pair)
-        frontier = nxt
+    # a column's checks read nothing else, so each distinct one runs once
+    done = set()
+    for M in walk["classes"]:
+        cols = tuple(zip(*M[n:]))
+        if len(set(cols)) != n:
+            raise VerificationFailure("a relabeling fixes a Y-seed pair")
+        for j, col in enumerate(cols):
+            if col in done:
+                continue
+            done.add(col)
+            y = S.monomial(col[:N])
+            # the target's exponents are the last rows: its own for
+            # principal, the universal ones for universal
+            yt = Sbar.monomial(col[-len(Sbar.gens):]) if tgt_vals else Sbar.one()
+            if not Sbar.eq(apply_phi(y), yt):
+                violations.append(("phi(y)", j + 1, y.text()))
+            u1 = S.oplus(y, S.one())
+            if not Sbar.eq(apply_phi(u1), Sbar.oplus(yt, Sbar.one())):
+                violations.append(("phi(y+1)", j + 1, y.text()))
     if violations:
         raise VerificationFailure("specialization checks failed: %r" % violations[:3])
+    seeds = len(walk["classes"]) * _group_order(walk["relabelings"], n)
     return {
         "phi": {U["gen_names"][gi]: phi[gi] for gi in phi},
         "target": target,
-        "seeds": len(seen),
-        "checked": checked,
+        "classes": len(walk["classes"]),
+        "seeds": seeds,
+        "checked": 2 * n * seeds,
     }
 
 

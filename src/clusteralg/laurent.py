@@ -44,6 +44,7 @@ import json
 import random
 import re
 import sys
+from math import gcd
 from operator import add, mul, sub
 
 
@@ -668,13 +669,11 @@ class RationalExpression:
                 num = num.shift(tuple(-a for a in e)) * c
                 den = LaurentPolynomial.const(num.vars, 1)
         # integer content
-        import math
-
         g = 0
         for c in num.terms.values():
-            g = math.gcd(g, c)
+            g = gcd(g, c)
         for c in den.terms.values():
-            g = math.gcd(g, c)
+            g = gcd(g, c)
         if g > 1:
             num = LaurentPolynomial(num.vars, {e: c // g for e, c in num.terms.items()})
             den = LaurentPolynomial(den.vars, {e: c // g for e, c in den.terms.items()})

@@ -246,7 +246,7 @@ def exchange_key(x, col, kk):
     return x[kk], multiset, tuple(col[len(x):])
 
 
-def mutate_seed_geometric(seed, k):
+def exchanged_variable(seed, k):
     """Geometric exchange: x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k.
 
     x_k, the multiset of (x_i, b_ik) over mutable i with b_ik != 0, and the
@@ -264,8 +264,14 @@ def mutate_seed_geometric(seed, k):
         ]
         plus, minus = lp_exchange_monomials(factors, seed.vars)
         new_xk = seed._exchanges[key] = lp_exact_div(plus + minus, seed.x[kk])
+    return new_xk
+
+
+def mutate_seed_geometric(seed, k):
+    """The seed mutated in direction k: x_k replaced by exchanged_variable
+    and the extended matrix mutated."""
     x = list(seed.x)
-    x[kk] = new_xk
+    x[k - 1] = exchanged_variable(seed, k)
     # a copy shares vars and the exchange table, and skips the validation:
     # mutation keeps the skew-symmetrizer (FZ I, Prop. 4.5)
     child = copy(seed)

@@ -47,9 +47,11 @@ from clusteralg.laurent import (
 from clusteralg.mutation import (
     CARTAN,
     LabeledYSeed,
+    cartan_counterpart_and_sign,
     mutate_matrix,
     mutate_y,
     named_matrix,
+    oracle_walk,
     principal_extension,
     rank2_matrix,
 )
@@ -62,6 +64,7 @@ from clusteralg.semifield import (
     PositiveRationalSemifield,
     UniversalSemifield,
 )
+from rank2_forms import rank2_y13_closed_form
 
 A2 = named_matrix("A2")
 WALK = (2, 1, 2, 1, 2)
@@ -153,8 +156,6 @@ def test_criterion_2_general_coefficient_walk(capsys):
             4: (re4("x2"), re4("x2 + y1", "x1*y1 + x1")),
             5: (re4("x2"), re4("x1")),
         }
-        from clusteralg.mutation import oracle_walk
-
         ys = LabeledYSeed([U2.generator(v) for v in YV], A2, U2)
         y_in_S = tuple(U4.generator(v) for v in YV)
         for m in range(1, 6):
@@ -229,8 +230,6 @@ def test_criterion_4_infinite_type(capsys):
 
 def test_criterion_5_rank2_and_affine_y_systems(capsys):
     with criterion(5, capsys, 10.0):
-        from rank2_forms import rank2_y13_closed_form
-
         for b, c in ((1, 1), (2, 2), (1, 3), (2, 1)):
             A = ((2, -b), (-c, 2))
             U = UniversalSemifield(("u1", "u2"))
@@ -526,8 +525,6 @@ def test_criterion_11_e8_belt_f_size(capsys):
     t0 = time.monotonic()
     try:
         B = named_matrix("E8")
-        from clusteralg.mutation import cartan_counterpart_and_sign
-
         A, _ = cartan_counterpart_and_sign(B)
         h = coxeter_data(A)["h"]
         assert h == 30

@@ -24,7 +24,7 @@ from clusteralg.bipartite import (
     tau_action,
     y_system_solve,
 )
-from clusteralg.laurent import lp_parse
+from clusteralg.laurent import lp_denominator_vector, lp_parse
 from clusteralg.mutation import (
     CARTAN,
     NotSkewSymmetrizable,
@@ -128,8 +128,6 @@ def test_belt_tracked_data_a2():
         (1, 4): (0, 1),
         (2, 5): (1, 0),
     }
-    from clusteralg.laurent import lp_denominator_vector
-
     for (i, m), x in x_expected.items():
         assert belt.x_im(i, m) == x, (i, m)
         assert lp_denominator_vector(x, 2) == d_expected[(i, m)]

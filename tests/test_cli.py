@@ -109,6 +109,26 @@ def test_universal_d4_matches_expected_file(monkeypatch, capsys):
     assert out == expected
 
 
+def test_specialize_d4_matches_expected_file(monkeypatch, capsys):
+    expected = open(
+        os.path.join(PKG_ROOT, "tests", "data", "specialize_D4_expected.txt")
+    ).read()
+    out = _stdout_in_process(
+        monkeypatch, capsys, "specialize", "--type", "D4", "--target", "principal"
+    )
+    assert out == expected
+
+
+def test_belt_has_no_coefficient_option(monkeypatch, capsys):
+    # the belt is always the principal-coefficient one
+    argv = ["cluster", "belt", "--type", "A2", "--coeffs", "principal"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "usage error: No such option '--coeffs'.\n"
+
+
 @pytest.mark.parametrize("command", ["universal", "specialize"])
 def test_universal_coefficients_of_an_infinite_type_are_a_usage_error(
     monkeypatch, capsys, command

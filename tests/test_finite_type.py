@@ -1,6 +1,10 @@
 """Root-system labeling, belt polynomial tables, and universal coefficients."""
 
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusteralg import exchange_graph, finite_type
 from clusteralg.finite_type import (
@@ -16,7 +20,14 @@ from clusteralg.finite_type import (
     universal_exchange_relations,
 )
 from clusteralg.laurent import lp_canonical_text
-from clusteralg.mutation import CARTAN, named_matrix
+from clusteralg.mutation import (
+    CARTAN,
+    LabeledYSeed,
+    mutate_matrix,
+    mutate_y,
+    named_matrix,
+)
+from specialization_reference import specialization_reference
 from universal_reference import universal_relations_reference
 
 YV = ("y1", "y2")
@@ -96,8 +107,6 @@ def test_universal_a2_generators_and_y0():
 
 
 def test_universal_a2_y_along_the_walk():
-    from clusteralg.mutation import LabeledYSeed, mutate_y
-
     U = universal_build(named_matrix("A2"))
     S = U["semifield"]
     ys = LabeledYSeed(U["y0"], U["B"], S)
@@ -208,6 +217,72 @@ def test_specialization_a2_principal_map():
     assert exps(phi["p[a1]"]) == {"y1": 1}
     for trivial_gen in ("p[-a1]", "p[a2]", "p[a1+a2]"):
         assert exps(phi[trivial_gen]) == {}
+
+
+@cache
+def universal(name):
+    return universal_build(named_matrix(name))
+
+
+@given(st.sampled_from(sorted(CARTAN)), st.lists(st.integers(1, 8), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_tropical_y_mutation_is_matrix_mutation_of_the_coefficient_rows(name, path):
+    U = universal(name)
+    n = len(U["B"])
+    ys = LabeledYSeed(U["y0"], U["B"], U["semifield"])
+    M = U["Btilde"]
+    for k in path:
+        k = (k - 1) % n + 1
+        ys = mutate_y(ys, k)
+        M = mutate_matrix(M, k)
+        assert ys.B == M[:n]
+        assert tuple(y.exps for y in ys.y) == tuple(zip(*M[n:]))
+
+
+@pytest.mark.parametrize("target", ["principal", "trivial", "universal"])
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A1xA1", "A2", "A3", "B2", "B3", "C3", "G2"]
+    + [pytest.param(name, marks=pytest.mark.slow) for name in ("A4", "D4")],
+)
+def test_specialization_matches_the_labeled_sweep(name, target):
+    got = specialization_construct(universal(name), target)
+    want = specialization_reference(universal(name), target)
+    for key in ("phi", "seeds", "checked"):
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("target", ["principal", "universal"])
+def test_specialization_refuses_a_swapped_primitive_map(monkeypatch, target):
+    # swap the belt relations of two generators with different images
+    U = universal("A3")
+    images = [specialization_construct(U, target)["phi"][g] for g in U["gen_names"]]
+    other = next(i for i, v in enumerate(images) if v != images[0])
+
+    def swapped(U):
+        assign = dict(primitive_map(U))
+        assign[0], assign[other] = assign[other], assign[0]
+        return assign
+
+    primitive_map = finite_type._belt_primitive_map
+    monkeypatch.setattr(finite_type, "_belt_primitive_map", swapped)
+    with pytest.raises(VerificationFailure, match="specialization checks failed"):
+        specialization_construct(U, target)
+
+
+def test_relabeling_group_order():
+    assert finite_type._group_order([], 3) == 1
+    assert finite_type._group_order([(1, 0, 2)], 3) == 2
+    assert finite_type._group_order([(1, 0, 2), (0, 2, 1)], 3) == 6
+    assert finite_type._group_order([(1, 2, 0), (2, 0, 1)], 3) == 3
+
+
+@pytest.mark.slow
+def test_specialization_e6_finishes_on_one_pair_per_class():
+    out = specialization_construct(universal("E6"), "principal")
+    assert out["seeds"] == 599760 and out["checked"] == 12 * 599760
+    graph = exchange_graph.graph_from_spec(named_matrix("E6"))
+    assert out["classes"] == graph["vertices"] == 833
 
 
 def test_rank2_mci_clean():

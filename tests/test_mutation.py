@@ -37,6 +37,7 @@ from clusteralg.mutation import (
     skew_symmetrizer,
     trivial_extension,
 )
+from clusteralg.principal import separation_evaluate
 from clusteralg.semifield import UniversalSemifield
 
 
@@ -191,8 +192,6 @@ def test_directions_outside_1_to_n_are_rejected(k):
 def test_general_coefficient_walk_matches_rational_oracle():
     # independent oracle: plain rational-function arithmetic with free
     # coefficients, no Laurent expansion, no F-polynomial machinery
-    from clusteralg.principal import separation_evaluate
-
     B = named_matrix("A2")
     path = (2, 1, 2, 1, 2)
     U = UniversalSemifield(("x1", "x2", "y1", "y2"))

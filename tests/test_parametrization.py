@@ -3,7 +3,7 @@
 import pytest
 
 from clusteralg.laurent import LaurentPolynomial, RationalExpression
-from clusteralg.mutation import named_matrix, rank2_matrix
+from clusteralg.mutation import named_matrix, principal_extension, rank2_matrix
 from clusteralg.parametrization import (
     NotInM,
     RankDeficient,
@@ -46,8 +46,6 @@ def test_d_vector_routes_agree_for_b2():
 
 
 def test_g_vector_general_recovers_pattern_g():
-    from clusteralg.mutation import principal_extension
-
     pat = PrincipalPattern(A2)
     Bt = principal_extension(A2)
     for m in range(6):

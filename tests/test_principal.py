@@ -102,8 +102,6 @@ def test_y_factored_matches_direct_y_mutation():
 def test_separation_specializes_to_positive_numbers():
     # independent oracle: run the whole exchange recurrence numerically
     # over positive rationals and compare with the separated evaluation
-    from clusteralg.laurent import LaurentPolynomial
-
     S = PositiveRationalSemifield()
     yvals = (Fraction(2), Fraction(5, 3))
     allvars = ("x1", "x2", "y1", "y2")
