@@ -9,6 +9,7 @@ of w that leads back to v, and the BFS skips that direction.
 from __future__ import annotations
 
 from itertools import chain, permutations, product
+from operator import itemgetter
 
 from .laurent import lp_canonical_text
 from .mutation import (
@@ -49,10 +50,11 @@ def _matrix_invariants(Bt, n):
 def _permute_rows(Bt, n, sigma):
     """Bt under a relabeling sigma (tuple: new index -> old index) of its
     first n rows and of its columns."""
-    return tuple(
-        tuple(Bt[sigma[i] if i < n else i][c] for c in sigma)
-        for i in range(len(Bt))
-    )
+    if n == 1:  # itemgetter of one index gives the entry, not a tuple
+        return tuple(Bt)
+    rows = [Bt[i] for i in sigma]
+    rows += Bt[n:]
+    return tuple(map(itemgetter(*sigma), rows))
 
 
 def _block_search(inv, serialize):
@@ -77,29 +79,105 @@ def _block_search(inv, serialize):
     return best, best_sigma
 
 
+def _relabeling(texts):
+    """The relabeling sigma (new index -> old index) that sorts a seed's
+    cluster-variable texts; they are distinct, so nothing else is needed."""
+    if len(texts) > 10:
+        raise RankTooLarge("canonical form limited to rank <= 10")
+    return sorted(range(len(texts)), key=texts.__getitem__)
+
+
+def _key_bytes(texts, P):
+    """Key of a seed relabeled to sorted texts and matrix P: the repr of
+    the texts, the coefficient columns and P."""
+    ys = tuple(zip(*P[len(texts):])) or ((),) * len(texts)
+    return repr((texts, ys, P)).encode()
+
+
 def _canonical(texts, Bt, n):
     """Key of the seed with cluster-variable texts and extended matrix Bt,
     and the relabeling sigma whose serialization the key is."""
-    ys = tuple(tuple(Bt[i][j] for i in range(n, len(Bt))) for j in range(n))
-    inv = [(texts[i], ys[i]) + mi for i, mi in enumerate(_matrix_invariants(Bt, n))]
-
-    def serialize(sigma):
-        return (
-            tuple(texts[i] for i in sigma),
-            tuple(ys[i] for i in sigma),
-            _permute_rows(Bt, n, sigma),
-        )
-
-    best, sigma = _block_search(inv, serialize)
-    return repr(best).encode(), sigma
+    sigma = tuple(_relabeling(texts))
+    return _key_bytes(tuple(texts[i] for i in sigma), _permute_rows(Bt, n, sigma)), sigma
 
 
-class _Texts(dict):
-    """Canonical text of each polynomial looked up, rendered once."""
+class _SeedKeys(dict):
+    """Seeds up to relabeling, for one walk. Looking up a cluster variable
+    gives its canonical text, rendered once; each text gets a small-int id
+    when first seen. A seed's walk key is the ids of its texts in sorted
+    order and its matrix relabeled to match, each row shared with the equal
+    rows of earlier keys. Ids are injective, so two seeds share a walk key
+    exactly when they share a key (_canonical)."""
+
+    def __init__(self):
+        self.ids = {}
+        self.rows = {}
 
     def __missing__(self, p):
         t = self[p] = lp_canonical_text(p)
+        self.ids.setdefault(t, len(self.ids))
         return t
+
+    def key(self, texts, seed):
+        """Walk key of the seed with these texts, and its sigma."""
+        sigma = _relabeling(texts)
+        ids, rows = self.ids, self.rows
+        P = _permute_rows(seed.Btilde, seed.n, sigma)
+        return (tuple([ids[texts[i]] for i in sigma]), tuple(map(rows.setdefault, P, P))), sigma
+
+    def key_bytes(self, keys):
+        """The key (as _canonical gives it) of each walk key."""
+        texts = list(self.ids)
+        for ids, P in keys:
+            yield _key_bytes(tuple(texts[i] for i in ids), P)
+
+
+def _walk(seeds, cap):
+    """BFS over the tuples of seeds reached by mutating all of seeds in the
+    same directions, each seed up to relabeling: one seed for the exchange
+    graph, or a pair with one B for covering_check. Stops adding vertices
+    at cap. Returns the _SeedKeys, the vertices (walk-key tuple -> vertex),
+    per vertex its seeds and their texts, the edges, and whether the walk
+    stayed within cap."""
+    n = seeds[0].n
+    keys = _SeedKeys()
+    texts = tuple(tuple(keys[x] for x in s.x) for s in seeds)
+    root, sigmas = zip(*map(keys.key, texts, seeds))
+    index = {root: 0}
+    # per vertex: its seeds, their texts and their relabelings
+    found = [(seeds, texts, sigmas)]
+    # (vertex, 0-based direction) pairs whose edge is already in edges
+    known = set()
+    edges = set()
+    frontier = [0]
+    finite = True
+    while frontier:
+        nxt = []
+        for v in frontier:
+            ss, ts = found[v][:2]
+            for kk in range(n):
+                if (v, kk) in known:
+                    continue
+                ss2 = [mutate_seed_geometric(s, kk + 1) for s in ss]
+                ts2 = [t[:kk] + (keys[s.x[kk]],) + t[kk + 1:] for s, t in zip(ss2, ts)]
+                key, sigmas = zip(*map(keys.key, ts2, ss2))
+                w = index.get(key)
+                if w is None:
+                    if len(index) >= cap:
+                        finite = False
+                        continue
+                    w = index[key] = len(index)
+                    found.append((ss2, ts2, sigmas))
+                    nxt.append(w)
+                # each seed of w relabeled is the mutated seed, and mutation
+                # is an involution: when all seeds of w put kk at the same
+                # position, mutating w there leads back to v
+                back = {sw[sigma.index(kk)] for sw, sigma in zip(found[w][2], sigmas)}
+                if len(back) == 1:
+                    known.add((w, back.pop()))
+                edges.add((min(v, w), max(v, w)))
+        frontier = nxt
+    return keys, index, found, edges, finite
 
 
 def seed_canonical_form(seed):
@@ -111,52 +189,15 @@ def seed_canonical_form(seed):
 def build_exchange_graph(seed, cap=10 ** 5):
     """BFS over seeds up to relabeling; returns a dict with vertices,
     edges, the root key, and a finiteness flag."""
-    n = seed.n
-    render = _Texts()
-    texts = tuple(render[x] for x in seed.x)
-    root, sigma = _canonical(texts, seed.Btilde, n)
-    keys = {root: 0}
-    seeds = {0: seed}
-    # per vertex: the texts of its cluster variables and its relabeling
-    found = [(texts, sigma)]
-    # (vertex, 0-based direction) pairs whose edge is already in edges
-    known = set()
-    edges = set()
-    frontier = [0]
-    finite = True
-    while frontier:
-        nxt = []
-        for vid in frontier:
-            s = seeds[vid]
-            texts = found[vid][0]
-            for kk in range(n):
-                if (vid, kk) in known:
-                    continue
-                s2 = mutate_seed_geometric(s, kk + 1)
-                t2 = texts[:kk] + (render[s2.x[kk]],) + texts[kk + 1:]
-                key, sigma = _canonical(t2, s2.Btilde, n)
-                w = keys.get(key)
-                if w is None:
-                    if len(keys) >= cap:
-                        finite = False
-                        continue
-                    w = keys[key] = len(keys)
-                    seeds[w] = s2
-                    found.append((t2, sigma))
-                    nxt.append(w)
-                # s2 is w's seed relabeled and mu_kk(s2) is s, so w's
-                # direction at canonical position sigma^-1(kk) leads to vid
-                known.add((w, found[w][1][sigma.index(kk)]))
-                edges.add((min(vid, w), max(vid, w)))
-        frontier = nxt
+    keys, index, found, edges, finite = _walk((seed,), cap)
     return {
-        "vertices": len(keys),
+        "vertices": len(index),
         "edges": sorted(edges),
         "root": 0,
         "finite": finite,
-        "seeds": seeds,
-        "keys": keys,
-        "cluster_variables": sorted({t for ts, _ in found for t in ts}),
+        "seeds": {v: ss[0] for v, (ss, _, _) in enumerate(found)},
+        "keys": {key: v for v, key in enumerate(keys.key_bytes(k for (k,) in index))},
+        "cluster_variables": sorted({t for _, (ts,), _ in found for t in ts}),
     }
 
 
@@ -173,15 +214,9 @@ def graph_from_spec(B, coeffs="principal", cap=10 ** 5):
 
 def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
     """Tree-aligned check that the principal-coefficient exchange graph
-    covers the graph with another coefficient choice for the same B.
-
-    Each pair of seeds is mutated in every direction except one known to
-    lead back to a checked pair: when mu_k of pair v reaches pair w and
-    both seeds put k at the same position of w, mutating w there gives v
-    again (mutation is an involution), so that direction is skipped.
-    """
+    covers the graph with another coefficient choice for the same B: walking
+    seed pairs mutated together, each principal seed meets one other seed."""
     B = matrix(B)
-    n = len(B)
     sp = initial_geometric_seed(principal_extension(B))
     if coeffs_other == "trivial":
         so = initial_geometric_seed(trivial_extension(B))
@@ -189,49 +224,13 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
         so = initial_geometric_seed(principal_extension(B))
     else:
         raise IncompatibleInputs("unknown coefficient choice")
-    if principal_part(sp.Btilde, n) != principal_part(so.Btilde, n):
-        raise IncompatibleInputs("initial exchange matrices differ")
-    render = _Texts()
-    tp = tuple(render[x] for x in sp.x)
-    to = tuple(render[x] for x in so.x)
-    kp, sigma_p = _canonical(tp, sp.Btilde, n)
-    ko, sigma_o = _canonical(to, so.Btilde, n)
-    pairs = {(kp, ko): 0}
-    # per pair: both seeds, their texts and their relabelings
-    found = [(sp, so, tp, to, sigma_p, sigma_o)]
-    assignment = {kp: ko}
-    # (pair, 0-based direction) known to lead back to a checked pair
-    known = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            p, o, tp, to = found[v][:4]
-            for kk in range(n):
-                if (v, kk) in known:
-                    continue
-                p2 = mutate_seed_geometric(p, kk + 1)
-                o2 = mutate_seed_geometric(o, kk + 1)
-                tp2 = tp[:kk] + (render[p2.x[kk]],) + tp[kk + 1:]
-                to2 = to[:kk] + (render[o2.x[kk]],) + to[kk + 1:]
-                kp, sigma_p = _canonical(tp2, p2.Btilde, n)
-                ko, sigma_o = _canonical(to2, o2.Btilde, n)
-                if kp in assignment:
-                    if assignment[kp] != ko:
-                        return False, (kp, assignment[kp], ko)
-                else:
-                    assignment[kp] = ko
-                w = pairs.get((kp, ko))
-                if w is None:
-                    if len(pairs) >= cap:
-                        raise CapExceeded("covering check cap exceeded")
-                    w = pairs[(kp, ko)] = len(found)
-                    found.append((p2, o2, tp2, to2, sigma_p, sigma_o))
-                    nxt.append(w)
-                back_p = found[w][4][sigma_p.index(kk)]
-                if back_p == found[w][5][sigma_o.index(kk)]:
-                    known.add((w, back_p))
-        frontier = nxt
+    keys, index, _, _, finite = _walk((sp, so), cap)
+    assignment = {}
+    for kp, ko in index:
+        if assignment.setdefault(kp, ko) != ko:
+            return False, tuple(keys.key_bytes((kp, assignment[kp], ko)))
+    if not finite:
+        raise CapExceeded("covering check cap exceeded")
     return True, None
 
 

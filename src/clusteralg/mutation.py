@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from copy import copy
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -190,7 +189,7 @@ class LabeledSeedGeometric:
     """Cluster of Laurent polynomials in m ambient variables + extended matrix.
 
     A constructed seed is validated and starts a new exchange table;
-    mutate_seed_geometric copies it into every seed it derives, so a seed
+    mutate_seed_geometric hands it on to every seed it derives, so a seed
     and its descendants divide each exchange relation once.
     """
 
@@ -204,6 +203,8 @@ class LabeledSeedGeometric:
         self._exchanges = {}
         if len(self.x) != n or len(self.Btilde[0]) != n:
             raise ValueError("cluster/matrix size mismatch")
+        if len(set(self.x)) != n:
+            raise ValueError("cluster repeats a cluster variable")
         if len(self.Btilde) != len(self.vars):
             raise ValueError("ambient variable count mismatch")
         skew_symmetrizer(principal_part(self.Btilde, n))
@@ -272,11 +273,11 @@ def mutate_seed_geometric(seed, k):
     and the extended matrix mutated."""
     x = list(seed.x)
     x[k - 1] = exchanged_variable(seed, k)
-    # a copy shares vars and the exchange table, and skips the validation:
-    # mutation keeps the skew-symmetrizer (FZ I, Prop. 4.5)
-    child = copy(seed)
-    child.x = tuple(x)
-    child.Btilde = mutate_matrix(seed.Btilde, k)
+    # the child shares vars and the exchange table, and skips the validation:
+    # mutation keeps the skew-symmetrizer (FZ I, Prop. 4.5) and distinct x
+    child = object.__new__(LabeledSeedGeometric)
+    child.x, child.Btilde = tuple(x), mutate_matrix(seed.Btilde, k)
+    child.n, child.vars, child._exchanges = seed.n, seed.vars, seed._exchanges
     return child
 
 

@@ -109,6 +109,16 @@ def test_universal_d4_matches_expected_file(monkeypatch, capsys):
     assert out == expected
 
 
+def test_graph_d4_principal_json_matches_expected_file(monkeypatch, capsys):
+    expected = open(
+        os.path.join(PKG_ROOT, "tests", "data", "graph_D4_principal_expected.json")
+    ).read()
+    out = _stdout_in_process(
+        monkeypatch, capsys, "graph", "--type", "D4", "--coeffs", "principal", "--json"
+    )
+    assert out == expected
+
+
 def test_specialize_d4_matches_expected_file(monkeypatch, capsys):
     expected = open(
         os.path.join(PKG_ROOT, "tests", "data", "specialize_D4_expected.txt")

@@ -8,6 +8,7 @@ from clusteralg import exchange_graph, mutation
 from clusteralg.exchange_graph import (
     Inconclusive,
     _canonical,
+    build_exchange_graph,
     covering_check,
     graph_from_spec,
     is_finite_type,
@@ -24,6 +25,7 @@ from clusteralg.mutation import (
     rank2_matrix,
     trivial_extension,
 )
+from canonical_reference import canonical_reference, seed_canonical_form_reference
 
 A2 = named_matrix("A2")
 A3 = named_matrix("A3")
@@ -105,8 +107,9 @@ def test_is_finite_type_is_inconclusive_past_the_cap():
 
 def reference_exchange_graph(seed, cap=10 ** 5):
     """The exchange-graph BFS that mutates every seed in all n directions,
-    so each edge is computed from both of its ends."""
-    keys = {seed_canonical_form(seed): 0}
+    so each edge is computed from both of its ends, and keys seeds by the
+    block-search canonical form."""
+    keys = {seed_canonical_form_reference(seed): 0}
     seeds = {0: seed}
     edges = set()
     frontier = [0]
@@ -116,7 +119,7 @@ def reference_exchange_graph(seed, cap=10 ** 5):
         for vid in frontier:
             for k in range(1, seed.n + 1):
                 s2 = mutate_seed_geometric(seeds[vid], k)
-                key = seed_canonical_form(s2)
+                key = seed_canonical_form_reference(s2)
                 if key not in keys:
                     if len(keys) >= cap:
                         finite = False
@@ -277,3 +280,52 @@ def test_canonical_form_is_invariant_under_relabeling(name, path, rnd):
         ),
     )
     assert key == repr(serialization).encode()
+
+
+@given(
+    st.sampled_from(["A3", "B3", "C3", "D4", "G2", "A1xA1", "rank2(2,2)"]),
+    st.sampled_from([principal_extension, trivial_extension]),
+    st.lists(st.integers(1, 4), max_size=8),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_canonical_matches_the_block_search_reference(name, extend, path, rnd):
+    B = rank2_matrix(2, 2) if name == "rank2(2,2)" else named_matrix(name)
+    seed = initial_geometric_seed(extend(B))
+    n = seed.n
+    for k in path:
+        seed = mutate_seed_geometric(seed, (k - 1) % n + 1)
+    pi = list(range(n))
+    rnd.shuffle(pi)
+    seed = _relabel(seed, pi)
+    texts = tuple(lp_canonical_text(x) for x in seed.x)
+    assert _canonical(texts, seed.Btilde, n) == canonical_reference(
+        texts, seed.Btilde, n
+    )
+
+
+@pytest.mark.parametrize("name", ["D4", "E6"])
+@pytest.mark.parametrize("coeffs", ["principal", "trivial"])
+def test_walks_serialize_once_per_vertex_and_search_no_blocks(monkeypatch, name, coeffs):
+    # the walks key seeds by text ids and relabeled rows: the byte key of
+    # each vertex is built once, and no seed's invariants are computed
+    serialized, invariants = [], []
+    key_bytes, matrix_invariants = exchange_graph._key_bytes, exchange_graph._matrix_invariants
+
+    def counting_key_bytes(*args):
+        serialized.append(args)
+        return key_bytes(*args)
+
+    def counting_invariants(*args):
+        invariants.append(args)
+        return matrix_invariants(*args)
+
+    monkeypatch.setattr(exchange_graph, "_key_bytes", counting_key_bytes)
+    monkeypatch.setattr(exchange_graph, "_matrix_invariants", counting_invariants)
+    B = named_matrix(name)
+    extend = principal_extension if coeffs == "principal" else trivial_extension
+    g = build_exchange_graph(initial_geometric_seed(extend(B)))
+    assert g["finite"] and len(serialized) == g["vertices"] == len(g["keys"])
+    assert covering_check(B, coeffs_other=coeffs) == (True, None)
+    assert len(serialized) == g["vertices"]
+    assert invariants == []

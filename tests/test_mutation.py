@@ -10,7 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusteralg.bipartite import cartan_symmetrizer
-from clusteralg.laurent import LaurentPolynomial, lp_canonical_text
+from clusteralg.laurent import (
+    LaurentPolynomial,
+    lp_canonical_text,
+    lp_exact_div,
+    lp_exchange_monomials,
+)
 from clusteralg.mutation import (
     CARTAN,
     InvalidDirection,
@@ -439,7 +444,7 @@ def test_exchange_table_gives_what_division_gives(name, extend, path):
         seed = child
 
 
-@pytest.mark.parametrize(
+REPEATED = pytest.mark.parametrize(
     "x,Btilde,path",
     [
         # x_1 = x_2 = p: the two exchanges differ only in the frozen column
@@ -454,21 +459,39 @@ def test_exchange_table_gives_what_division_gives(name, extend, path):
     ],
     ids=["frozen-column", "multiplicity"],
 )
-def test_exchange_table_keeps_apart_relations_with_repeated_variables(
-    x, Btilde, path
-):
-    # a directly built seed may repeat a cluster variable, so every part of
-    # the table's key is needed to tell its exchange relations apart
+
+
+@REPEATED
+def test_seed_rejects_a_repeated_cluster_variable(x, Btilde, path):
+    variables = ("p", "q", "f", "g")[: len(Btilde)]
+    with pytest.raises(ValueError, match="repeats a cluster variable"):
+        LabeledSeedGeometric(
+            [LaurentPolynomial.var(variables, v) for v in x], Btilde, len(x), variables
+        )
+
+
+@REPEATED
+def test_exchange_key_keeps_apart_repeated_variables(x, Btilde, path):
+    # no seed repeats a cluster variable, so the relations are divided
+    # along the path by hand: each is new, and so is its key
     variables = ("p", "q", "f", "g")[: len(Btilde)]
     n = len(x)
-    seed = LabeledSeedGeometric(
-        [LaurentPolynomial.var(variables, v) for v in x], Btilde, n, variables
-    )
+    X = [LaurentPolynomial.var(variables, v) for v in x]
+    M = Btilde
+    relations, keys = set(), set()
     for k in path:
-        child = mutate_seed_geometric(seed, k)
-        alone = LabeledSeedGeometric(seed.x, seed.Btilde, n, seed.vars)
-        assert child.x == mutate_seed_geometric(alone, k).x
-        seed = child
+        col = [row[k - 1] for row in M]
+        factors = list(zip(X, col)) + [
+            (LaurentPolynomial.var(variables, variables[i]), col[i])
+            for i in range(n, len(col))
+            if col[i]
+        ]
+        plus, minus = lp_exchange_monomials(factors, variables)
+        relations.add((plus + minus, X[k - 1]))
+        keys.add(exchange_key(X, col, k - 1))
+        X[k - 1] = lp_exact_div(plus + minus, X[k - 1])
+        M = mutate_matrix(M, k)
+    assert len(relations) == len(keys) == len(path)
 
 
 def test_exchange_key_counts_only_repeated_pairs():
