@@ -333,6 +333,8 @@ def belt(type_name, matrix_file, rank2, range_text, verify, out):
     """Bipartite-belt seeds over an index range, with invariant checks."""
     B, _ = _load_b(type_name, matrix_file, rank2)
     A, eps = bipartite.cartan_counterpart_and_sign(B)
+    if eps is None:
+        raise UsageError("no bipartite belt: the exchange matrix is not bipartite")
     if range_text is None:
         h = bipartite.coxeter_data(A)["h"]
         if h is None:

@@ -190,7 +190,8 @@ class LabeledSeedGeometric:
 
     A constructed seed is validated and starts a new exchange table;
     mutate_seed_geometric hands it on to every seed it derives, so a seed
-    and its descendants divide each exchange relation once.
+    and its descendants make one division per exchangeable pair, mutation
+    being an involution (see exchanged_variable).
     """
 
     __slots__ = ("x", "Btilde", "n", "vars", "_exchanges")
@@ -251,8 +252,11 @@ def exchanged_variable(seed, k):
     """Geometric exchange: x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k.
 
     x_k, the multiset of (x_i, b_ik) over mutable i with b_ik != 0, and the
-    frozen column fix the dividend and the divisor, so x'_k is divided once
-    per such key and then read from the seed's exchange table.
+    frozen column fix the dividend and the divisor, so x'_k is read from
+    the seed's exchange table, divided once per exchangeable pair: the
+    division also records x_k under the key of the step back (x'_k at k,
+    column k negated, frozen rows included), which fixes the same dividend
+    and the divisor x'_k, so its exact quotient is x_k.
     """
     n = seed.n
     kk = _direction(k, n)
@@ -265,6 +269,8 @@ def exchanged_variable(seed, k):
         ]
         plus, minus = lp_exchange_monomials(factors, seed.vars)
         new_xk = seed._exchanges[key] = lp_exact_div(plus + minus, seed.x[kk])
+        back = exchange_key(seed.x[:kk] + (new_xk,) + seed.x[k:], [-b for b in col], kk)
+        seed._exchanges[back] = seed.x[kk]
     return new_xk
 
 

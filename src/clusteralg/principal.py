@@ -11,9 +11,10 @@ cluster variables X, their F-polynomials F and their g-vectors g, each a
 tuple indexed from 0.
 
 The exchange relation at a vertex fixes X_k', F_k' = X_k'|_{x=1} and the
-g-vector of X_k'.  A pattern divides each distinct relation once, checks
-it once, and keeps the result in its exchange table; the checks that read
-the vertex (g-vector recurrences, degree consistency) run on every step.
+g-vector of X_k'.  A pattern divides once per exchangeable pair (mutation
+is an involution; see _step), checks it once, and keeps the result in its
+exchange table; the checks that read the vertex (g-vector recurrences,
+degree consistency) run on every step.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ class PrincipalPattern:
         g0 = tuple(tuple(1 if i == ell else 0 for i in range(n)) for ell in range(n))
         self._states = {(): PatternState(Bt0, X0, F0, g0)}
         self._b0cols = [tuple(self.B0[i][j] for i in range(n)) for j in range(n)]
-        # exchange_key -> (X_k', F_k', g-vector of X_k'); each X_k' and F_k'
-        # -> itself; (F, kk) -> h
+        # exchange_key -> (X_k', F_k', g-vector of X_k'), both directions
+        # of each relation; each X_k' and F_k' -> itself; (F, kk) -> h
         self._exchanges = {}
         self._interned = {v: v for v in X0 + F0}
         self._hvals = {}
@@ -157,6 +158,12 @@ class PrincipalPattern:
         return st
 
     def _step(self, st, k):
+        """The state mu_k(st).  A new relation is divided by _exchange and
+        also recorded for the step back: the key of the mutated cluster and
+        the negated column k fixes the same P + M and the divisor X_k', so
+        its exact quotient is st's (X_k, F_k, g_k).  Its checks are the
+        forward ones read the other way, X_k's own ran when X_k was made,
+        and g_recurrence runs against the table's g on every step."""
         kk = k - 1
         Bt = st.Btilde
         Bt2 = mutate_matrix(Bt, k)
@@ -170,14 +177,18 @@ class PrincipalPattern:
             Xk = self._interned.setdefault(Xk, Xk)
             Fk = self._interned.setdefault(Fk, Fk)
             ex = self._exchanges[key] = (Xk, Fk, gk)
+            back = exchange_key(st.X[:kk] + (Xk,) + st.X[k:], [-b for b in col], kk)
+            self._exchanges[back] = (st.X[kk], st.F[kk], st.g[kk])
         Xk, Fk, gk_deg = ex
         X = list(st.X)
         X[kk] = Xk
         F = list(st.F)
         F[kk] = Fk
         # g-vector: the multidegree against the two recurrences
-        if g_recurrence(Bt, st.g, k, self._b0cols) != gk_deg:
-            raise CrossCheckFailure("g-vector recurrences disagree at k=%d" % k)
+        gk_rec = g_recurrence(Bt, st.g, k, self._b0cols)
+        if gk_rec != gk_deg:
+            msg = "g-vector recurrence %s disagrees with multidegree %s at k=%d"
+            raise CrossCheckFailure(msg % (gk_rec, gk_deg, k))
         g2 = list(st.g)
         g2[kk] = gk_deg
         return PatternState(Bt2, tuple(X), tuple(F), tuple(g2))
@@ -186,9 +197,9 @@ class PrincipalPattern:
         """(X_k', F_k', g-vector of X_k') of the exchange at k from st, col
         being column k of st's extended matrix.
 
-        Runs once per exchange key: both exact divisions, F by
-        specialization and by recurrence, the multidegree and the
-        structural invariants.
+        Runs once per exchangeable pair (see _step): both exact
+        divisions, F by specialization and by recurrence, the multidegree
+        and the structural invariants.
         """
         n = self.n
         kk = k - 1

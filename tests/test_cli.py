@@ -168,6 +168,25 @@ def test_universal_coefficients_of_a_matrix_that_is_not_bipartite_are_a_usage_er
     assert out.err == "usage error: no universal coefficients: the exchange matrix is not bipartite\n"
 
 
+@pytest.mark.parametrize("range_args", [("--range", "0:2"), ()])
+def test_belt_of_a_matrix_that_is_not_bipartite_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, range_args
+):
+    # the acyclic orientation of a triangle: no bipartite sign, with or
+    # without a range that would skip the Coxeter number
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps({"B": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]}))
+    monkeypatch.setattr(
+        sys, "argv", ["cluster", "belt", "--matrix", str(src), *range_args]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err == "usage error: no bipartite belt: the exchange matrix is not bipartite\n"
+
+
 def test_check_command_reports_clean():
     out = run_cli("check", "--type", "A2")
     assert out.returncode == 0

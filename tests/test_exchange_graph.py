@@ -189,13 +189,14 @@ def test_each_edge_is_mutated_once(monkeypatch, name, edges, coeffs):
 
 
 @pytest.mark.parametrize(
-    "name,variables,edges,divisions", [("D4", 16, 100, 58), ("E6", 42, 2499, 468)]
+    "name,variables,edges,divisions", [("D4", 16, 100, 52), ("E6", 42, 2499, 385)]
 )
 @pytest.mark.parametrize("coeffs", ["principal", "trivial"])
 def test_each_exchange_relation_is_divided_once(
     monkeypatch, name, variables, edges, divisions, coeffs
 ):
-    # one mutation per edge, one division per distinct exchange relation
+    # one mutation per edge, one division per exchangeable pair: a relation
+    # and its reverse share the one division that met either first
     calls = []
 
     def counting(p, q):

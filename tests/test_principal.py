@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusteralg import principal
+from clusteralg import mutation, principal
 from clusteralg.laurent import (
     LaurentPolynomial,
     RationalExpression,
     lp_canonical_text,
+    lp_exact_div,
+    lp_exchange_monomials,
     lp_parse,
+    lp_substitute_monomial,
 )
 from clusteralg.mutation import (
     initial_geometric_seed,
@@ -21,6 +24,7 @@ from clusteralg.mutation import (
     oracle_walk,
     principal_extension,
     rank2_matrix,
+    trivial_extension,
 )
 from clusteralg.principal import (
     CrossCheckFailure,
@@ -420,9 +424,9 @@ def test_pattern_keeps_one_object_per_cluster_variable():
 
 
 def test_exchange_table_divides_each_relation_once(monkeypatch):
-    # A3's suite walks the patterns of B0, -B0 and each mu_k(B0) and meets
-    # 119 distinct exchange relations, two divisions each; dividing on
-    # every tree edge took 806
+    # A3's suite walks the patterns of B0, -B0 and each mu_k(B0) and
+    # divides once per exchangeable pair, two divisions each (X and F);
+    # one per distinct relation took 238, one per tree edge 806
     calls = []
     divide = principal.lp_exact_div
 
@@ -432,7 +436,92 @@ def test_exchange_table_divides_each_relation_once(monkeypatch):
 
     monkeypatch.setattr(principal, "lp_exact_div", counting)
     conjecture_suite(named_matrix("A3"))
-    assert len(calls) == 238
+    assert len(calls) == 120
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_there_and_back_divides_nothing_on_the_way_back(monkeypatch, name):
+    # mu_k undoes itself, so the step forward records the step back
+    calls = []
+
+    def counting(p, q):
+        calls.append(q)
+        return lp_exact_div(p, q)
+
+    monkeypatch.setattr(principal, "lp_exact_div", counting)
+    monkeypatch.setattr(mutation, "lp_exact_div", counting)
+    B = named_matrix(name)
+    for k in range(1, len(B) + 1):
+        pat = PrincipalPattern(B)
+        pat.state((k,))
+        calls.clear()
+        assert pat.state((k, k)) == pat.state(())
+        assert calls == []
+        for Bt in (principal_extension(B), trivial_extension(B)):
+            seed = initial_geometric_seed(Bt)
+            there = mutate_seed_geometric(seed, k)
+            calls.clear()
+            back = mutate_seed_geometric(there, k)
+            assert calls == []
+            assert back.x == seed.x and back.Btilde == seed.Btilde
+
+
+def _key_quotient(key, variables):
+    """A fresh division of the exchange relation that key stands for: the
+    frozen variables are the last ones of variables."""
+    xk, pairs, frozen = key
+    factors = []
+    for pair in pairs:
+        (v, b), count = pair if isinstance(pair[0], tuple) else (pair, 1)
+        factors += [(v, b)] * count
+    n = len(variables) - len(frozen)
+    factors += [
+        (LaurentPolynomial.var(variables, variables[n + i]), c)
+        for i, c in enumerate(frozen)
+    ]
+    plus, minus = lp_exchange_monomials(factors, variables)
+    return lp_exact_div(plus + minus, xk)
+
+
+TABLE_TYPES = [named_matrix(t) for t in ("A3", "B3", "C3", "D4", "G2", "A1xA1")]
+TABLE_TYPES.append(rank2_matrix(2, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TABLE_TYPES), st.data())
+def test_every_exchange_table_entry_is_its_keys_quotient(B, data):
+    # entries recorded for the reverse direction included
+    n = len(B)
+    path = data.draw(st.lists(st.integers(1, n), max_size=6))
+    pat = PrincipalPattern(B)
+    pat.state(path)
+    for key, (X, F, g) in pat._exchanges.items():
+        assert X == _key_quotient(key, pat.vars)
+        assert F == lp_substitute_monomial(X, pat._spec)
+        assert g == pat._multidegree(X)
+    for Bt in (principal_extension(B), trivial_extension(B)):
+        seed = initial_geometric_seed(Bt)
+        for k in path:
+            seed = mutate_seed_geometric(seed, k)
+        for key, x in seed._exchanges.items():
+            assert x == _key_quotient(key, seed.vars)
+
+
+def test_g_vector_disagreement_names_both_vectors(monkeypatch):
+    pat = PrincipalPattern(A2)
+    g = pat.state((1,)).g[0]
+    shifted = tuple(v + 1 for v in g)
+    multidegree = PrincipalPattern._multidegree
+    monkeypatch.setattr(
+        PrincipalPattern,
+        "_multidegree",
+        lambda self, X: tuple(v + 1 for v in multidegree(self, X)),
+    )
+    with pytest.raises(CrossCheckFailure) as exc:
+        PrincipalPattern(A2).state((1,))
+    message = str(exc.value)
+    assert "recurrences disagree" not in message
+    assert str(g) in message and str(shifted) in message and "k=1" in message
 
 
 def test_f_cross_check_runs_on_first_sighting(monkeypatch):
