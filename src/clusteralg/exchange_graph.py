@@ -57,28 +57,6 @@ def _permute_rows(Bt, n, sigma):
     return tuple(map(itemgetter(*sigma), rows))
 
 
-def _block_search(inv, serialize):
-    """Minimal serialize(sigma) over the relabelings sigma that sort the
-    indices by their invariants inv; only permutations within tie blocks
-    are explored. Returns the minimum and the first sigma reaching it."""
-    n = len(inv)
-    if n > 10:
-        raise RankTooLarge("canonical form limited to rank <= 10")
-    blocks = []
-    for i in sorted(range(n), key=inv.__getitem__):
-        if blocks and inv[blocks[-1][-1]] == inv[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    best = best_sigma = None
-    for combo in product(*map(permutations, blocks)):
-        sigma = tuple(chain.from_iterable(combo))
-        cand = serialize(sigma)
-        if best is None or cand < best:
-            best, best_sigma = cand, sigma
-    return best, best_sigma
-
-
 def _relabeling(texts):
     """The relabeling sigma (new index -> old index) that sorts a seed's
     cluster-variable texts; they are distinct, so nothing else is needed."""
@@ -235,47 +213,42 @@ def covering_check(B, coeffs_other="trivial", cap=10 ** 5):
 
 
 def _canonical_matrix(Bt, n):
-    """Minimal relabeling of Bt, and the relabeling sigma reaching it."""
-    return _block_search(
-        _matrix_invariants(Bt, n), lambda sigma: _permute_rows(Bt, n, sigma)
+    """Minimal relabeling of Bt over the relabelings that sort the indices
+    by their invariants; only permutations within tie blocks are explored."""
+    if n > 10:
+        raise RankTooLarge("canonical form limited to rank <= 10")
+    inv = _matrix_invariants(Bt, n)
+    blocks = []
+    for i in sorted(range(n), key=inv.__getitem__):
+        if blocks and inv[blocks[-1][-1]] == inv[i]:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return min(
+        _permute_rows(Bt, n, tuple(chain.from_iterable(combo)))
+        for combo in product(*map(permutations, blocks))
     )
 
 
 def mutation_class_finiteness(Btilde, cap=10 ** 4):
     """BFS over matrix mutations with canonicalization; exact class size
-    or cap exceedance.  A finite walk also returns classes, one matrix
-    per class, each reached by mutation from Btilde, and relabelings: the
-    tau with mu_k(M_v) = _permute_rows(M_w, n, tau) over all edges."""
+    or cap exceedance."""
     Bt = matrix(Btilde)
     n = len(Bt[0])
     skew_symmetrizer(principal_part(Bt, n))
-    root, sigma = _canonical_matrix(Bt, n)
-    seen = {root: sigma}  # canonical form -> its class matrix's relabeling
-    relabelings = set()
-    # one copy of each row, shared by the stored matrices
-    rows = {}
+    seen = {_canonical_matrix(Bt, n)}
     # the BFS queue: the loop reaches each class as it is appended
-    classes = [Bt]
-    for M in classes:
+    queue = [Bt]
+    for M in queue:
         for k in range(1, n + 1):
             M2 = mutate_matrix(M, k)
-            c, sigma = _canonical_matrix(M2, n)
-            sigma_w = seen.get(c)
-            if sigma_w is None:
+            c = _canonical_matrix(M2, n)
+            if c not in seen:
                 if len(seen) >= cap:
                     return {"finite": False, "count": None, "cap": cap}
-                c = tuple(rows.setdefault(r, r) for r in c)
-                M2 = tuple(rows.setdefault(r, r) for r in M2)
-                sigma_w = seen[c] = sigma
-                classes.append(M2)
-            relabelings.add(tuple(sigma_w[sigma.index(i)] for i in range(n)))
-    return {
-        "finite": True,
-        "count": len(seen),
-        "cap": cap,
-        "classes": classes,
-        "relabelings": sorted(relabelings),
-    }
+                seen.add(c)
+                queue.append(M2)
+    return {"finite": True, "count": len(seen), "cap": cap}
 
 
 class Inconclusive(RuntimeError):

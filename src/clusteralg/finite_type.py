@@ -12,15 +12,15 @@ from .bipartite import (
     tau_action,
     y_system_solve,
 )
-from .exchange_graph import build_exchange_graph, mutation_class_finiteness
-from .laurent import LaurentPolynomial, lp_denominator_vector
+from .exchange_graph import _permute_rows
+from .laurent import LaurentPolynomial
 from .mutation import (
     _pos,
     bipartite_matrix_from_cartan,
     cartan_counterpart_and_sign,
-    exchanged_variable,
-    initial_geometric_seed,
+    exchanged_d_vector,
     matrix,
+    mutate_matrix,
     positive_definite,
     principal_extension,
 )
@@ -268,39 +268,79 @@ def universal_build(B, periods=2):
     }
 
 
-def universal_exchange_relations(U):
-    """The exchange relations of the geometric realization, read off its
-    exchange graph (the same graph for every choice of coefficients, FZ IV
-    Thm 4.6), with cluster variables labeled by their denominator roots."""
-    Bt = U["Btilde"]
-    n = len(U["B"])
-    names = tuple("x%d" % (i + 1) for i in range(n)) + U["gen_names"]
-    g = build_exchange_graph(initial_geometric_seed(Bt, names))
-    if not g["finite"]:
-        raise VerificationFailure("exchange graph exceeds %d seeds" % g["vertices"])
-    distinct = {x for s in g["seeds"].values() for x in s.x}
-    label = {x: root_name(lp_denominator_vector(x, n)) for x in distinct}
-    relations = {}
-    for s in g["seeds"].values():
+def _cluster_walk(Bt, cap=10 ** 5):
+    """BFS over the seeds mutation reaches from the initial seed of the
+    extended matrix Bt, cluster variables labeled by their d-vectors.
+
+    exchanged_d_vector is exact: by positivity (Lee-Schiffler, arXiv
+    1306.2415; GHKK, arXiv 1411.1394) cluster variables are Laurent
+    polynomials with nonnegative coefficients, so the least exponent of
+    x_j adds over products and, nothing cancelling, is the least over
+    sums.  In finite type a cluster variable is named by its d-vector, an
+    almost positive root (FZ II Thm 1.9), so a vertex is keyed by its
+    sorted labels.  Returns the vertices (labels, matrix) as first reached
+    and the tau with mu_k(M_v) = _permute_rows(M_w, n, tau) on revisits,
+    tau[i] the index in w of the label at i.  A revisit with another
+    matrix raises CrossCheckFailure, a walk past cap vertices
+    VerificationFailure.
+    """
+    n = len(Bt[0])
+    labels = tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
+    index = {tuple(sorted(labels)): 0}
+    # one copy of each row, shared by the stored matrices
+    rows = {}
+    relabelings = set()
+    # the BFS queue: the loop reaches each vertex as it is appended
+    vertices = [(labels, Bt)]
+    for v, (labels, M) in enumerate(vertices):
         for k in range(1, n + 1):
-            xk = exchanged_variable(s, k)
-            pair = tuple(sorted((label[s.x[k - 1]], label[xk])))
+            d = exchanged_d_vector(labels, [row[k - 1] for row in M], k)
+            labels2 = labels[: k - 1] + (d,) + labels[k:]
+            M2 = mutate_matrix(M, k)
+            key = tuple(sorted(labels2))
+            w = index.get(key)
+            if w is None:
+                if len(vertices) >= cap:
+                    raise VerificationFailure("exchange graph exceeds %d seeds" % cap)
+                if len(set(key)) != n:
+                    raise CrossCheckFailure("a cluster repeats the d-vector %r" % (d,))
+                index[key] = len(vertices)
+                vertices.append((labels2, tuple(map(rows.setdefault, M2, M2))))
+                continue
+            tau = tuple(map(vertices[w][0].index, labels2))
+            expected = _permute_rows(vertices[w][1], n, tau)
+            if expected != M2:
+                raise CrossCheckFailure(
+                    "vertex %d mutated in direction %d revisits vertex %d with the"
+                    " matrix %r, not %r" % (v, k, w, M2, expected)
+                )
+            relabelings.add(tau)
+    return vertices, relabelings
+
+
+def universal_exchange_relations(U):
+    """The exchange relations of the geometric realization, read off the
+    seeds of _cluster_walk, with cluster variables labeled by their
+    denominator roots."""
+    n = len(U["B"])
+    vertices, _ = _cluster_walk(U["Btilde"])
+    label = {d: root_name(d) for labels, _ in vertices for d in labels}
+    if set(label) != set(U["root_system"]["almost_positive"]):
+        raise VerificationFailure("the d-vectors are not the almost positive roots")
+    relations = {}
+    for labels, M in vertices:
+        for k in range(1, n + 1):
+            col = [row[k - 1] for row in M]
+            d = exchanged_d_vector(labels, col, k)
+            pair = tuple(sorted((label[labels[k - 1]], label[d])))
             if pair in relations:
                 continue
             terms = []
             for sgn in (1, -1):
-                coeff = [0] * len(U["gen_names"])
-                factors = {}
-                for i in range(len(Bt)):
-                    e = _pos(sgn * s.Btilde[i][k - 1])
-                    if not e:
-                        continue
-                    if i < n:
-                        lab = label[s.x[i]]
-                        factors[lab] = factors.get(lab, 0) + e
-                    else:
-                        coeff[i - n] += e
-                terms.append((tuple(coeff), tuple(sorted(factors.items()))))
+                # the term's exponents: n cluster variables, then coefficients
+                e = [_pos(sgn * b) for b in col]
+                factors = sorted((label[labels[i]], e[i]) for i in range(n) if e[i])
+                terms.append((tuple(e[n:]), tuple(factors)))
             relations[pair] = tuple(sorted(terms))
     return relations
 
@@ -364,9 +404,9 @@ def specialization_construct(U, target="principal"):
     (FZ IV section 2), so a pair is B over the universal coefficient rows
     over the target's (the identity for principal; none for trivial, nor
     for universal, whose y is the universal y).  Relabeling a pair permutes
-    its 2n checks, so one pair per class of mutation_class_finiteness is
-    checked.  The universal rows hold +-I, so no relabeling fixes a pair,
-    and a class stands for |G| labeled pairs, G the group of the walk's
+    its 2n checks, so one pair per vertex of _cluster_walk is checked.
+    The universal rows hold +-I, so no relabeling fixes a pair, and a
+    vertex stands for |G| labeled pairs, G the group of the walk's
     relabelings; seeds counts labeled pairs and checked 2n per pair.
     """
     A, eps, h = U["A"], U["eps"], U["h"]
@@ -407,13 +447,11 @@ def specialization_construct(U, target="principal"):
                 acc = Sbar.mul(acc, Sbar.power(phi[gi], e))
         return acc
 
-    walk = mutation_class_finiteness(Bt, cap=10 ** 5)
-    if not walk["finite"]:
-        raise VerificationFailure("more than %d Y-seed pair classes" % walk["cap"])
+    vertices, relabelings = _cluster_walk(Bt)
     violations = []
     # a column's checks read nothing else, so each distinct one runs once
     done = set()
-    for M in walk["classes"]:
+    for _, M in vertices:
         cols = tuple(zip(*M[n:]))
         if len(set(cols)) != n:
             raise VerificationFailure("a relabeling fixes a Y-seed pair")
@@ -432,11 +470,11 @@ def specialization_construct(U, target="principal"):
                 violations.append(("phi(y+1)", j + 1, y.text()))
     if violations:
         raise VerificationFailure("specialization checks failed: %r" % violations[:3])
-    seeds = len(walk["classes"]) * _group_order(walk["relabelings"], n)
+    seeds = len(vertices) * _group_order(sorted(relabelings), n)
     return {
         "phi": {U["gen_names"][gi]: phi[gi] for gi in phi},
         "target": target,
-        "classes": len(walk["classes"]),
+        "classes": len(vertices),
         "seeds": seeds,
         "checked": 2 * n * seeds,
     }

@@ -8,7 +8,6 @@ geometric coefficients.  Directions are 1-based throughout.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -156,6 +155,20 @@ def mutate_matrix(M, k):
     return tuple(out)
 
 
+def exchanged_d_vector(d, col, k):
+    """The d-vector of x'_k from the cluster's d-vectors d and column k of
+    the matrix: -d_k + max(sum [b_ik]+ d_i, sum [-b_ik]+ d_i) over the
+    mutable i, componentwise (exact by positivity, see _cluster_walk)."""
+    kk = _direction(k, len(d))
+    plus = minus = (0,) * len(d[kk])
+    for di, b in zip(d, col):
+        if b > 0:
+            plus = tuple(p + b * v for p, v in zip(plus, di))
+        elif b < 0:
+            minus = tuple(m - b * v for m, v in zip(minus, di))
+    return tuple(max(p, m) - v for p, m, v in zip(plus, minus, d[kk]))
+
+
 class LabeledYSeed:
     __slots__ = ("y", "B", "S")
 
@@ -191,7 +204,7 @@ class LabeledSeedGeometric:
     A constructed seed is validated and starts a new exchange table;
     mutate_seed_geometric hands it on to every seed it derives, so a seed
     and its descendants make one division per exchangeable pair, mutation
-    being an involution (see exchanged_variable).
+    being an involution (see mutate_seed_geometric).
     """
 
     __slots__ = ("x", "Btilde", "n", "vars", "_exchanges")
@@ -232,26 +245,21 @@ def initial_geometric_seed(Btilde, variables=None):
 
 
 def exchange_key(x, col, kk):
-    """The key of an exchange table: x_k, the multiset of (x_i, b_ik) over
+    """The key of an exchange table: x_k, the set of (x_i, b_ik) over
     mutable i with b_ik != 0, and the frozen column.
 
     x is the cluster, col the full column k of the extended matrix.  The
-    key fixes the dividend and the divisor of the exchange relation.
-    Distinct pairs are their own multiset; repeated ones are counted.  The
-    two encodings cannot collide: their elements are (x_i, b_ik) pairs in
-    one and ((x_i, b_ik), count) pairs in the other.
+    cluster variables of a seed are distinct, so the pairs are too, and
+    the key fixes the dividend and the divisor of the exchange relation.
     """
-    pairs = [(v, b) for v, b in zip(x, col) if b]
-    multiset = frozenset(pairs)
-    if len(multiset) != len(pairs):
-        multiset = frozenset(Counter(pairs).items())
-    return x[kk], multiset, tuple(col[len(x):])
+    return x[kk], frozenset((v, b) for v, b in zip(x, col) if b), tuple(col[len(x):])
 
 
-def exchanged_variable(seed, k):
-    """Geometric exchange: x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k.
+def mutate_seed_geometric(seed, k):
+    """The seed mutated in direction k: the extended matrix mutated and x_k
+    replaced by x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k.
 
-    x_k, the multiset of (x_i, b_ik) over mutable i with b_ik != 0, and the
+    x_k, the set of (x_i, b_ik) over mutable i with b_ik != 0, and the
     frozen column fix the dividend and the divisor, so x'_k is read from
     the seed's exchange table, divided once per exchangeable pair: the
     division also records x_k under the key of the step back (x'_k at k,
@@ -271,18 +279,11 @@ def exchanged_variable(seed, k):
         new_xk = seed._exchanges[key] = lp_exact_div(plus + minus, seed.x[kk])
         back = exchange_key(seed.x[:kk] + (new_xk,) + seed.x[k:], [-b for b in col], kk)
         seed._exchanges[back] = seed.x[kk]
-    return new_xk
-
-
-def mutate_seed_geometric(seed, k):
-    """The seed mutated in direction k: x_k replaced by exchanged_variable
-    and the extended matrix mutated."""
-    x = list(seed.x)
-    x[k - 1] = exchanged_variable(seed, k)
     # the child shares vars and the exchange table, and skips the validation:
     # mutation keeps the skew-symmetrizer (FZ I, Prop. 4.5) and distinct x
     child = object.__new__(LabeledSeedGeometric)
-    child.x, child.Btilde = tuple(x), mutate_matrix(seed.Btilde, k)
+    child.x = seed.x[:kk] + (new_xk,) + seed.x[k:]
+    child.Btilde = mutate_matrix(seed.Btilde, k)
     child.n, child.vars, child._exchanges = seed.n, seed.vars, seed._exchanges
     return child
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import lp_denominator_vector
-from .mutation import matrix, mutate_matrix
+from .mutation import exchanged_d_vector, matrix, mutate_matrix
 from .principal import (
     CrossCheckFailure,
     PrincipalPattern,
@@ -27,25 +26,12 @@ def d_vector(B0, path, ell, pattern=None):
     max-recurrence; the two routes must agree."""
     pat = pattern if pattern is not None else PrincipalPattern(B0)
     n = pat.n
-    extracted = lp_denominator_vector(pat.state(path).X[ell - 1], n)
+    extracted = pat.d_value(path, ell)
     # recurrence along the path
     d = [tuple(-1 if i == l else 0 for i in range(n)) for l in range(n)]
     Bt = pat.state(()).Btilde
     for k in path:
-        kk = k - 1
-        plus = [0] * n
-        minus = [0] * n
-        for i in range(n):
-            b = Bt[i][kk]
-            if b > 0:
-                for r in range(n):
-                    plus[r] += b * d[i][r]
-            elif b < 0:
-                for r in range(n):
-                    minus[r] += (-b) * d[i][r]
-        d[kk] = tuple(
-            -d[kk][r] + max(plus[r], minus[r]) for r in range(n)
-        )
+        d[k - 1] = exchanged_d_vector(d, [row[k - 1] for row in Bt], k)
         Bt = mutate_matrix(Bt, k)
     if extracted != d[ell - 1]:
         raise CrossCheckFailure("denominator-vector routes disagree")

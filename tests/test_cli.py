@@ -1,5 +1,6 @@
 """Command-line interface behavior and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,20 @@ def test_specialize_d4_matches_expected_file(monkeypatch, capsys):
         monkeypatch, capsys, "specialize", "--type", "D4", "--target", "principal"
     )
     assert out == expected
+
+
+@pytest.mark.slow
+def test_e7_universal_text_and_specialize_seed_count_are_pinned():
+    # both pinned from the exchange-graph route that the d-vector walk
+    # replaced
+    out = run_cli("universal", "--type", "E7")
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+        "6b616fe9535ca1f5bd2db2ba958dd8b998d9971d6662a52ccf4b8ef6431f8bb3"
+    )
+    out = run_cli("specialize", "--type", "E7", "--target", "principal")
+    assert out.stdout.splitlines()[0] == (
+        "target=principal seeds=20966400 checked=293529600"
+    )
 
 
 def test_belt_has_no_coefficient_option(monkeypatch, capsys):

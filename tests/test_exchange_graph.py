@@ -1,5 +1,7 @@
 """Exchange graphs, coverings, and finite-type recognition."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from clusteralg import exchange_graph, mutation
 from clusteralg.exchange_graph import (
     Inconclusive,
     _canonical,
-    build_exchange_graph,
     covering_check,
     graph_from_spec,
     is_finite_type,
@@ -188,26 +189,58 @@ def test_each_edge_is_mutated_once(monkeypatch, name, edges, coeffs):
     assert len(calls) == edges
 
 
+@pytest.fixture(scope="module")
+def instrumented_build():
+    """Per (type, coefficients), built once: the exchange graph and then
+    the covering check, counting the byte keys serialized, the matrix
+    invariants computed and the exact divisions made."""
+
+    def counting(calls, f):
+        def counted(*args):
+            calls.append(args)
+            return f(*args)
+
+        return counted
+
+    @cache
+    def build(name, coeffs):
+        serialized, invariants, divisions = [], [], []
+        B = named_matrix(name)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                exchange_graph,
+                "_key_bytes",
+                counting(serialized, exchange_graph._key_bytes),
+            )
+            mp.setattr(
+                exchange_graph,
+                "_matrix_invariants",
+                counting(invariants, exchange_graph._matrix_invariants),
+            )
+            mp.setattr(mutation, "lp_exact_div", counting(divisions, lp_exact_div))
+            run = {"graph": graph_from_spec(B, coeffs=coeffs)}
+            run["serialized"], run["divisions"] = len(serialized), len(divisions)
+            run["covered"] = covering_check(B, coeffs_other=coeffs)
+        run["serialized_in_all"], run["invariants"] = len(serialized), invariants
+        return run
+
+    return build
+
+
 @pytest.mark.parametrize(
     "name,variables,edges,divisions", [("D4", 16, 100, 52), ("E6", 42, 2499, 385)]
 )
 @pytest.mark.parametrize("coeffs", ["principal", "trivial"])
 def test_each_exchange_relation_is_divided_once(
-    monkeypatch, name, variables, edges, divisions, coeffs
+    instrumented_build, name, variables, edges, divisions, coeffs
 ):
     # one mutation per edge, one division per exchangeable pair: a relation
     # and its reverse share the one division that met either first
-    calls = []
-
-    def counting(p, q):
-        calls.append(q)
-        return lp_exact_div(p, q)
-
-    monkeypatch.setattr(mutation, "lp_exact_div", counting)
-    g = graph_from_spec(named_matrix(name), coeffs=coeffs)
+    run = instrumented_build(name, coeffs)
+    g = run["graph"]
     assert g["finite"] and len(g["edges"]) == edges
     assert len(g["cluster_variables"]) == variables
-    assert len(calls) == divisions
+    assert run["divisions"] == divisions
 
 
 @pytest.mark.parametrize("other,renders", [("trivial", 32), ("principal", 16)])
@@ -307,26 +340,14 @@ def test_canonical_matches_the_block_search_reference(name, extend, path, rnd):
 
 @pytest.mark.parametrize("name", ["D4", "E6"])
 @pytest.mark.parametrize("coeffs", ["principal", "trivial"])
-def test_walks_serialize_once_per_vertex_and_search_no_blocks(monkeypatch, name, coeffs):
+def test_walks_serialize_once_per_vertex_and_search_no_blocks(
+    instrumented_build, name, coeffs
+):
     # the walks key seeds by text ids and relabeled rows: the byte key of
     # each vertex is built once, and no seed's invariants are computed
-    serialized, invariants = [], []
-    key_bytes, matrix_invariants = exchange_graph._key_bytes, exchange_graph._matrix_invariants
-
-    def counting_key_bytes(*args):
-        serialized.append(args)
-        return key_bytes(*args)
-
-    def counting_invariants(*args):
-        invariants.append(args)
-        return matrix_invariants(*args)
-
-    monkeypatch.setattr(exchange_graph, "_key_bytes", counting_key_bytes)
-    monkeypatch.setattr(exchange_graph, "_matrix_invariants", counting_invariants)
-    B = named_matrix(name)
-    extend = principal_extension if coeffs == "principal" else trivial_extension
-    g = build_exchange_graph(initial_geometric_seed(extend(B)))
-    assert g["finite"] and len(serialized) == g["vertices"] == len(g["keys"])
-    assert covering_check(B, coeffs_other=coeffs) == (True, None)
-    assert len(serialized) == g["vertices"]
-    assert invariants == []
+    run = instrumented_build(name, coeffs)
+    g = run["graph"]
+    assert g["finite"] and run["serialized"] == g["vertices"] == len(g["keys"])
+    assert run["covered"] == (True, None)
+    assert run["serialized_in_all"] == g["vertices"]
+    assert run["invariants"] == []

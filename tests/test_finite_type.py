@@ -27,6 +27,7 @@ from clusteralg.mutation import (
     mutate_y,
     named_matrix,
 )
+from clusteralg.principal import CrossCheckFailure
 from specialization_reference import specialization_reference
 from universal_reference import universal_relations_reference
 
@@ -187,14 +188,52 @@ def test_universal_exchange_relations_match_the_labeled_bfs(name):
 
 
 def test_universal_exchange_relations_refuse_a_truncated_exchange_graph(monkeypatch):
-    # A3 has 14 seeds: a graph cut at 5 must give no relations at all
-    monkeypatch.setattr(
-        finite_type,
-        "build_exchange_graph",
-        lambda seed: exchange_graph.build_exchange_graph(seed, cap=5),
-    )
+    # A3 has 14 seeds: a walk cut at 5 must give no relations at all
+    walk = finite_type._cluster_walk
+    monkeypatch.setattr(finite_type, "_cluster_walk", lambda Bt: walk(Bt, cap=5))
     with pytest.raises(VerificationFailure, match="exceeds 5 seeds"):
         universal_exchange_relations(universal_build(named_matrix("A3")))
+
+
+def test_cluster_walk_refuses_a_revisit_with_another_matrix(monkeypatch):
+    # on A3 the tenth mutation, vertex 3 in direction 1, revisits a vertex;
+    # with its first row negated the two matrices must both be named
+    calls, matrices = [], []
+
+    def corrupted(M, k):
+        calls.append(k)
+        M2 = mutate_matrix(M, k)
+        if len(calls) == 10:
+            matrices.extend((M2, (tuple(-b for b in M2[0]),) + M2[1:]))
+            return matrices[-1]
+        return M2
+
+    monkeypatch.setattr(finite_type, "mutate_matrix", corrupted)
+    with pytest.raises(CrossCheckFailure) as info:
+        universal_exchange_relations(universal_build(named_matrix("A3")))
+    message = str(info.value)
+    assert "vertex 3 mutated in direction 1 revisits vertex" in message
+    assert "%r, not %r" % tuple(matrices[::-1]) in message
+
+
+def test_cluster_walk_refuses_a_cluster_that_repeats_a_label(monkeypatch):
+    # a d step that returns a neighbor's label makes the first new cluster
+    # hold it twice
+    monkeypatch.setattr(
+        finite_type, "exchanged_d_vector", lambda d, col, k: d[k % len(d)]
+    )
+    with pytest.raises(CrossCheckFailure, match="repeats the d-vector"):
+        finite_type._cluster_walk(universal("A3")["Btilde"])
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_universal_exchange_relations_refuse_labels_that_are_not_the_roots(change):
+    U = universal_build(named_matrix("A3"))
+    roots = U["root_system"]["almost_positive"]
+    roots = roots[1:] if change == "missing" else roots + [(2, 2, 2)]
+    U = dict(U, root_system=dict(U["root_system"], almost_positive=roots))
+    with pytest.raises(VerificationFailure, match="not the almost positive roots"):
+        universal_exchange_relations(U)
 
 
 def test_specializations_verify():

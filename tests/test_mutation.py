@@ -13,7 +13,6 @@ from clusteralg.bipartite import cartan_symmetrizer
 from clusteralg.laurent import (
     LaurentPolynomial,
     lp_canonical_text,
-    lp_exact_div,
     lp_exchange_monomials,
 )
 from clusteralg.mutation import (
@@ -444,25 +443,18 @@ def test_exchange_table_gives_what_division_gives(name, extend, path):
         seed = child
 
 
-REPEATED = pytest.mark.parametrize(
-    "x,Btilde,path",
+@pytest.mark.parametrize(
+    "x,Btilde",
     [
-        # x_1 = x_2 = p: the two exchanges differ only in the frozen column
-        (("p", "p"), ((0, 0), (0, 0), (1, 2)), (1, 2)),
-        # mu_4 divides (1 + p)/q, mu_2 then divides (1 + p^2)/q: x_2 = x_4
-        # and the neighbors differ only in how often (p, -1) occurs
+        (("p", "p"), ((0, 0), (0, 0), (1, 2))),
         (
             ("p", "q", "p", "q"),
             ((0, -1, 0, -1), (1, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
-            (4, 2),
         ),
     ],
     ids=["frozen-column", "multiplicity"],
 )
-
-
-@REPEATED
-def test_seed_rejects_a_repeated_cluster_variable(x, Btilde, path):
+def test_seed_rejects_a_repeated_cluster_variable(x, Btilde):
     variables = ("p", "q", "f", "g")[: len(Btilde)]
     with pytest.raises(ValueError, match="repeats a cluster variable"):
         LabeledSeedGeometric(
@@ -470,37 +462,27 @@ def test_seed_rejects_a_repeated_cluster_variable(x, Btilde, path):
         )
 
 
-@REPEATED
-def test_exchange_key_keeps_apart_repeated_variables(x, Btilde, path):
-    # no seed repeats a cluster variable, so the relations are divided
-    # along the path by hand: each is new, and so is its key
-    variables = ("p", "q", "f", "g")[: len(Btilde)]
-    n = len(x)
-    X = [LaurentPolynomial.var(variables, v) for v in x]
-    M = Btilde
-    relations, keys = set(), set()
+@given(
+    st.sampled_from(["A3", "B3", "D4", "G2"]),
+    st.sampled_from([principal_extension, trivial_extension]),
+    st.lists(st.integers(1, 4), max_size=12),
+)
+@settings(max_examples=40, deadline=None)
+def test_exchange_keys_name_exchange_relations(name, extend, path):
+    # along a walk, two exchanges share a key exactly when they share the
+    # dividend and the divisor
+    seed = initial_geometric_seed(extend(named_matrix(name)))
+    n = seed.n
+    relation_of, key_of = {}, {}
     for k in path:
-        col = [row[k - 1] for row in M]
-        factors = list(zip(X, col)) + [
-            (LaurentPolynomial.var(variables, variables[i]), col[i])
-            for i in range(n, len(col))
-            if col[i]
+        k = (k - 1) % n + 1
+        col = [row[k - 1] for row in seed.Btilde]
+        factors = list(zip(seed.x, col)) + [
+            (seed.frozen_monomial(i), col[i]) for i in range(n, len(col)) if col[i]
         ]
-        plus, minus = lp_exchange_monomials(factors, variables)
-        relations.add((plus + minus, X[k - 1]))
-        keys.add(exchange_key(X, col, k - 1))
-        X[k - 1] = lp_exact_div(plus + minus, X[k - 1])
-        M = mutate_matrix(M, k)
-    assert len(relations) == len(keys) == len(path)
-
-
-def test_exchange_key_counts_only_repeated_pairs():
-    # distinct (x_i, b_ik) pairs are the key's set as they are; a repeated
-    # pair is counted, so the dividends p and p^2 get different keys
-    p, q = (LaurentPolynomial.var(("p", "q", "f"), v) for v in "pq")
-    assert exchange_key([q, p], [0, 1, 1], 0) == (q, frozenset({(p, 1)}), (1,))
-    assert exchange_key([q, p, p], [0, 1, 1, 1], 0) == (
-        q,
-        frozenset({((p, 1), 2)}),
-        (1,),
-    )
+        plus, minus = lp_exchange_monomials(factors, seed.vars)
+        relation = (plus + minus, seed.x[k - 1])
+        key = exchange_key(seed.x, col, k - 1)
+        assert relation_of.setdefault(key, relation) == relation
+        assert key_of.setdefault(relation, key) == key
+        seed = mutate_seed_geometric(seed, k)
