@@ -10,19 +10,20 @@ d = d(j;m-1), is run three ways:
   Gross-Hacking-Keel-Kontsevich, JAMS 2018), so the two terms never cancel;
 - on exact integers at y = (1, ..., 1), which gives each F's coefficient sum
   and so a bound on every coefficient;
-- on values mod p at the integer nodes of [0, D], D the componentwise
-  maximum of the boxes, with one batch inversion per division.  Each F is
-  evaluated on the bounding box of its own box and of the boxes of the F's
-  computed from it, only the two latest layers are kept, and each new F is
-  interpolated on its own box one axis at a time.
+- on exact integers at the integer nodes of [0, D], D the componentwise
+  maximum of the boxes.  With positive coefficients and constant term 1,
+  every F is at least 1 there, so each division is exact, node by node; a
+  remainder or a divisor of 0 is a CrossCheckFailure.  Each F is evaluated
+  on the bounding box of its own box and of the boxes of the F's computed
+  from it, and only the two latest layers are kept.  Each new F's values
+  are reduced mod p and interpolated on its own box one axis at a time.
 
 With p above twice the largest coefficient sum, the residues are the
 coefficients themselves.  Every F is checked for positive residues below
 p/2, for its coefficient sum, for its degree box, and for its exact value at
 D + (1, ..., 1): a box too small on one axis gives a polynomial that agrees
 with F at every node, (1, ..., 1) included, but not beyond them.  p is the
-first Mersenne prime of a fixed list above that bound at which no divisor
-vanishes at a node.
+first Mersenne prime of a fixed list above that bound.
 
 `belt_distinct` is the infinite-type branch of
 `bipartite.periodicity_check`: it runs the belt's mutations on values mod p
@@ -33,9 +34,9 @@ two residues are equal.
 from __future__ import annotations
 
 import random
-from itertools import accumulate, product
+from itertools import product, repeat
 from math import prod
-from operator import mul
+from operator import add, floordiv, mod, mul
 
 from .bipartite import orbit_vector, tau_action
 from .laurent import LaurentPolynomial
@@ -44,21 +45,6 @@ from .principal import CrossCheckFailure, g_recurrence
 
 # Mersenne primes 2^k - 1, ascending: the moduli the route may use.
 _PRIMES = tuple((1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279))
-
-
-def _batch_inverse(values, p):
-    """Inverses mod p of values (each reduced mod p) with one modular
-    inversion (Montgomery's trick); ZeroDivisionError if one of them is 0."""
-    prefix = list(accumulate(values, lambda a, b: a * b % p))
-    if not prefix[-1]:
-        raise ZeroDivisionError("a divisor is 0 modulo %d" % p)
-    inv = pow(prefix[-1], -1, p)
-    out = [0] * len(values)
-    for i in range(len(values) - 1, 0, -1):
-        out[i] = inv * prefix[i - 1] % p
-        inv = inv * values[i] % p
-    out[0] = inv
-    return out
 
 
 def _inverse_vandermonde(L, p):
@@ -125,20 +111,44 @@ def _belt_values(steps, eps, point):
     return value
 
 
+def _grid(op, columns):
+    """op folded over one entry of each column, at every point of their
+    grid, row-major: each entry of an axis is combined with the whole block
+    of the axes after it in one map."""
+    block = columns[-1]
+    for column in reversed(columns[:-1]):
+        out = []
+        for c in column:
+            out += map(op, repeat(c), block)
+        block = out
+    return block
+
+
+def _last_axis(values, L, rows, p):
+    """Each row of rows applied, mod p, to the last axis of values, an array
+    row-major with that axis of length L: output block l is
+    sum_k rows[l][k] * values[k::L], so the axis moves to the front."""
+    columns = [values[k::L] for k in range(L)]
+    out = []
+    for row in rows:
+        acc = map(mul, columns[0], repeat(row[0]))
+        for c, column in zip(row[1:], columns[1:]):
+            acc = map(add, acc, map(mul, column, repeat(c)))
+        out += map(mod, acc, repeat(p))
+    return out
+
+
 def _interpolate(values, box, p, vinv):
     """Coefficients, row-major over [0, box], of the polynomial of degree
     <= box_r in y_r whose values at the nodes of [0, box] (row-major) are
-    values, mod p.  The last axis is solved on contiguous fibers and moved
-    to the front, so after every axis the order is row-major again."""
+    values, mod p, solved one axis at a time from the last, so after every
+    axis the order is row-major again."""
     for L in reversed([b + 1 for b in box]):
         if L == 1:
             continue
         if L not in vinv:
             vinv[L] = _inverse_vandermonde(L, p)
-        fibers = [values[s : s + L] for s in range(0, len(values), L)]
-        values = []
-        for row in vinv[L]:
-            values += [sum(map(mul, row, f)) % p for f in fibers]
+        values = _last_axis(values, L, vinv[L], p)
     return values
 
 
@@ -146,17 +156,13 @@ def _evaluate(coeffs, box, point, p):
     """Value mod p at point of the polynomial whose coefficients are given
     row-major over [0, box], summed out one axis at a time from the last."""
     for L, z in zip(reversed([b + 1 for b in box]), reversed(point)):
-        powers = [pow(z, e, p) for e in range(L)]
-        coeffs = [
-            sum(map(mul, powers, coeffs[s : s + L])) % p
-            for s in range(0, len(coeffs), L)
-        ]
+        coeffs = _last_axis(coeffs, L, [[pow(z, e, p) for e in range(L)]], p)
     return coeffs[0]
 
 
 def _table_mod_p(n, eps, steps, box, at_one, p):
-    """The belt table from values mod p, with every F checked;
-    ZeroDivisionError when a divisor is 0 mod p at a node."""
+    """The belt table from exact values at the nodes, interpolated mod p,
+    with every F checked."""
     yvars = tuple("y%d" % (i + 1) for i in range(n))
     # each F is needed on its own box and on the boxes of the F's made from it
     need = dict(box)
@@ -168,28 +174,18 @@ def _table_mod_p(n, eps, steps, box, at_one, p):
     # one past the last node on every axis, where a wrong box shows
     beyond = tuple(x + 1 for x in D)
     at_beyond = _belt_values(steps, eps, beyond)
-    columns = {}
     vinv = {}
 
     def monomial(e, b):
         """y^e at the nodes of [0, b], row-major."""
-        if not any(e):
-            return [1] * prod(x + 1 for x in b)
-        vec = [1]
-        for r, k in enumerate(e):
-            if (r, k) not in columns:
-                columns[(r, k)] = [pow(x, k, p) for x in range(D[r] + 1)]
-            vec = [a * c % p for a in vec for c in columns[(r, k)][: b[r] + 1]]
-        return vec
+        return _grid(mul, [[x ** k for x in range(d + 1)] for k, d in zip(e, b)])
 
     def restrict(src, v, b):
         """v, given at the nodes of [0, src], at the nodes of [0, b]."""
         if src == b:
             return v
-        idx = [0]
-        for r in range(n):
-            stride = prod(s + 1 for s in src[r + 1 :])
-            idx = [a + x * stride for a in idx for x in range(b[r] + 1)]
+        strides = [prod(s + 1 for s in src[r + 1 :]) for r in range(n)]
+        idx = _grid(add, [range(0, (x + 1) * s, s) for x, s in zip(b, strides)])
         return list(map(v.__getitem__, idx))
 
     one = LaurentPolynomial.const(yvars, 1)
@@ -205,11 +201,17 @@ def _table_mod_p(n, eps, steps, box, at_one, p):
         factors = [restrict(*vals[i], b) for i, k in nbrs for _ in range(k)]
         if any(lo) or not factors:
             factors.append(monomial(lo, b))
-        inverses = _batch_inverse(restrict(*vals[j], b), p)
-        t1 = map(prod, zip(*factors))
-        new = [(a + c) * e % p for a, c, e in zip(t1, monomial(hi, b), inverses)]
+        num = list(map(add, map(prod, zip(*factors)), monomial(hi, b)))
+        old = restrict(*vals[j], b)
+        # every F is at least 1 at the nodes, so neither check fails on a belt
+        if 0 in old:
+            raise CrossCheckFailure("F(%d;%d) divides by 0 at a node" % key)
+        if any(map(mod, num, old)):
+            raise CrossCheckFailure("F(%d;%d) leaves a remainder at a node" % key)
+        new = list(map(floordiv, num, old))
         vals[j] = (b, new)
-        coeffs = _interpolate(restrict(b, new, box[key]), box[key], p, vinv)
+        residues = list(map(mod, restrict(b, new, box[key]), repeat(p)))
+        coeffs = _interpolate(residues, box[key], p, vinv)
         if _evaluate(coeffs, box[key], beyond, p) != at_beyond[key] % p:
             raise CrossCheckFailure("F(%d;%d) misses its value beyond the nodes" % key)
         if max(coeffs) > p >> 1:
@@ -232,14 +234,10 @@ def belt_table(A, eps, m_hi):
     the sign eps of a bipartite exchange matrix."""
     steps, box = _belt_degrees(A, eps, m_hi)
     at_one = _belt_values(steps, eps, (1,) * len(A))
-    bound = 2 * max(at_one.values())
-    for p in _PRIMES:
-        if p > bound:
-            try:
-                return _table_mod_p(len(A), eps, steps, box, at_one, p)
-            except ZeroDivisionError:
-                continue
-    raise ArithmeticError("belt F-polynomials need a prime above the fixed list")
+    p = next((p for p in _PRIMES if p > 2 * max(at_one.values())), None)
+    if p is None:
+        raise ArithmeticError("belt F-polynomials need a prime above the fixed list")
+    return _table_mod_p(len(A), eps, steps, box, at_one, p)
 
 
 # -- non-repetition on the belt ---------------------------------------------

@@ -247,8 +247,8 @@ def belt_walk(B, m_range, verify=True):
 def belt_f_recurrence(B, m_hi):
     """Belt F-polynomials {(i, m): F(i;m)} over y1..yn from the two-term
     recurrence F(j;m-1) F(j;m+1) = y^[-d]+ prod F(i;m)^(-a_ij) + y^[d]+ with
-    d = d(j;m-1), by evaluation and interpolation modulo a prime (see
-    `belt_modp`), with every F checked as it is made."""
+    d = d(j;m-1), on exact values at integer nodes, interpolated modulo a
+    prime (see `belt_modp`), with every F checked as it is made."""
     from .belt_modp import belt_table
 
     B = matrix(B)

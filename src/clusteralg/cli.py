@@ -20,6 +20,7 @@ from .mutation import (
     named_matrix,
     rank2_matrix,
 )
+from .parametrization import d_vector as _d_vector
 from .principal import CrossCheckFailure, PrincipalPattern
 from .semifield import (
     PositiveRationalSemifield,
@@ -208,7 +209,7 @@ def _walk_text(B0, path):
         for j in range(n):
             lines.append("g[%d] = %s" % (j + 1, str(st.g[j])))
         for j in range(n):
-            lines.append("d[%d] = %s" % (j + 1, str(pat.d_value(prefix, j + 1))))
+            lines.append("d[%d] = %s" % (j + 1, str(_d_vector(B0, prefix, j + 1, pat))))
         lines.append("")
     return "\n".join(lines)
 
@@ -265,9 +266,7 @@ def d_vector(type_name, matrix_file, rank2, path_text, out):
     B, _ = _load_b(type_name, matrix_file, rank2)
     pat = PrincipalPattern(B)
     path = _parse_path(path_text)
-    lines = [
-        "d[%d] = %s" % (j + 1, str(pat.d_value(path, j + 1))) for j in range(pat.n)
-    ]
+    lines = ["d[%d] = %s" % (j + 1, _d_vector(B, path, j + 1, pat)) for j in range(pat.n)]
     _emit("\n".join(lines) + "\n", out)
 
 

@@ -280,9 +280,9 @@ def _cluster_walk(Bt, cap=10 ** 5):
     almost positive root (FZ II Thm 1.9), so a vertex is keyed by its
     sorted labels.  Returns the vertices (labels, matrix) as first reached
     and the tau with mu_k(M_v) = _permute_rows(M_w, n, tau) on revisits,
-    tau[i] the index in w of the label at i.  A revisit with another
-    matrix raises CrossCheckFailure, a walk past cap vertices
-    VerificationFailure.
+    tau[i] the index in w of the label at i.  Each edge is mutated once,
+    from the end walked first.  A revisit with another matrix raises
+    CrossCheckFailure, a walk past cap vertices VerificationFailure.
     """
     n = len(Bt[0])
     labels = tuple(tuple(-1 if j == i else 0 for j in range(n)) for i in range(n))
@@ -296,9 +296,11 @@ def _cluster_walk(Bt, cap=10 ** 5):
         for k in range(1, n + 1):
             d = exchanged_d_vector(labels, [row[k - 1] for row in M], k)
             labels2 = labels[: k - 1] + (d,) + labels[k:]
-            M2 = mutate_matrix(M, k)
             key = tuple(sorted(labels2))
             w = index.get(key)
+            if w is not None and w < v:
+                continue
+            M2 = mutate_matrix(M, k)
             if w is None:
                 if len(vertices) >= cap:
                     raise VerificationFailure("exchange graph exceeds %d seeds" % cap)

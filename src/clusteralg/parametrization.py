@@ -34,7 +34,8 @@ def d_vector(B0, path, ell, pattern=None):
         d[k - 1] = exchanged_d_vector(d, [row[k - 1] for row in Bt], k)
         Bt = mutate_matrix(Bt, k)
     if extracted != d[ell - 1]:
-        raise CrossCheckFailure("denominator-vector routes disagree")
+        msg = "d-vector of x_%d after path %r: %r by Laurent extraction, %r by the max-recurrence"
+        raise CrossCheckFailure(msg % (ell, tuple(path), extracted, d[ell - 1]))
     return extracted
 
 

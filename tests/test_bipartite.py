@@ -446,33 +446,62 @@ def test_belt_degree_boxes_are_the_positive_parts_of_the_d_vectors(name):
         assert b == tuple(max(v, 0) for v in d), (name, i, m)
 
 
-def _failing_batch_inverse(monkeypatch, failures):
-    """Make the first `failures` batch inversions report a zero divisor, and
-    record the modulus of every call."""
-    real = belt_modp._batch_inverse
+def test_belt_f_recurrence_refuses_a_remainder_at_a_node(monkeypatch):
+    # y^[d]+ of the first step that divides by an F other than 1 gains a
+    # y_r; the exact values at (1, ..., 1) and beyond the nodes still come
+    # from the true schedule, so only the division at the nodes can see it
+    real_degrees, real_values = belt_modp._belt_degrees, belt_modp._belt_values
+    true = {}
+
+    def degrees(*args):
+        steps, box = real_degrees(*args)
+        true["steps"] = steps
+        at = next(s for s, (_, m, _, _, _) in enumerate(steps) if m >= 2)
+        j, m, lo, hi, nbrs = steps[at]
+        true["key"] = (j + 1, m + 1)
+        hi = tuple(v + (r == j) for r, v in enumerate(hi))
+        return steps[:at] + [(j, m, lo, hi, nbrs)] + steps[at + 1 :], box
+
+    monkeypatch.setattr(belt_modp, "_belt_degrees", degrees)
+    monkeypatch.setattr(
+        belt_modp, "_belt_values", lambda _, eps, point: real_values(true["steps"], eps, point)
+    )
+    with pytest.raises(CrossCheckFailure) as exc:
+        belt_f_recurrence(named_matrix("D4"), 8)
+    assert str(exc.value) == "F(%d;%d) leaves a remainder at a node" % true["key"]
+
+
+def test_belt_f_recurrence_refuses_a_zero_divisor_at_a_node():
+    # a schedule no belt gives: F(1;2) = y1 + y1 passes its own checks but
+    # is 0 at y1 = 0, the one node of F(1;4) = (y1 + y1) / F(1;2)
+    steps = [(0, 1, (1,), (1,), ()), (0, 3, (1,), (1,), ())]
+    box = {(1, 0): (0,), (1, 2): (1,), (1, 4): (0,)}
+    at_one = {(1, 0): 1, (1, 2): 2, (1, 4): 1}
+    with pytest.raises(CrossCheckFailure) as exc:
+        belt_modp._table_mod_p(1, (1,), steps, box, at_one, belt_modp._PRIMES[0])
+    assert str(exc.value) == "F(1;4) divides by 0 at a node"
+
+
+def test_belt_f_recurrence_runs_on_the_first_listed_prime_above_the_bound(monkeypatch):
+    # the largest F(1, 1) of A2 is 3, so the bound is 6: 7 is taken, and
+    # every coefficient (at most 3) is still at most 7 / 2
+    real = belt_modp._table_mod_p
     moduli = []
 
-    def batch_inverse(values, p):
-        moduli.append(p)
-        if len(moduli) <= failures:
-            raise ZeroDivisionError("a divisor is 0 modulo %d" % p)
-        return real(values, p)
+    def table_mod_p(*args):
+        moduli.append(args[-1])
+        return real(*args)
 
-    monkeypatch.setattr(belt_modp, "_batch_inverse", batch_inverse)
-    return moduli
-
-
-def test_belt_f_recurrence_moves_to_the_next_prime_on_a_zero_divisor(monkeypatch):
-    moduli = _failing_batch_inverse(monkeypatch, 1)
-    B = named_matrix("D4")
-    got = belt_f_recurrence(B, 8)
-    assert moduli[0] == 2 ** 61 - 1
-    assert set(moduli[1:]) == {2 ** 89 - 1}
-    _assert_same_table(got, belt_f_reference(B, 8))
+    monkeypatch.setattr(belt_modp, "_PRIMES", (5, 7, 11))
+    monkeypatch.setattr(belt_modp, "_table_mod_p", table_mod_p)
+    B = named_matrix("A2")
+    _assert_same_table(belt_f_recurrence(B, 5), belt_f_reference(B, 5))
+    assert moduli == [7]
 
 
 def test_belt_f_recurrence_gives_up_past_the_last_prime(monkeypatch):
-    _failing_batch_inverse(monkeypatch, 10 ** 6)
+    # no listed prime above the bound 6 of A2
+    monkeypatch.setattr(belt_modp, "_PRIMES", (3, 5))
     with pytest.raises(ArithmeticError) as exc:
         belt_f_recurrence(named_matrix("A2"), 5)
     assert type(exc.value) is ArithmeticError

@@ -5,29 +5,52 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
 
-from clusteralg import cli
+from clusteralg import cli, parametrization
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, check=True):
-    out = subprocess.run(
-        [sys.executable, "-m", "clusteralg.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    if check and out.returncode != 0:
-        raise AssertionError(
-            "exit %d\nstdout: %s\nstderr: %s"
-            % (out.returncode, out.stdout, out.stderr)
-        )
-    return out
+CliResult = namedtuple("CliResult", "returncode stdout stderr")
 
 
-def test_f_poly_output():
+@pytest.fixture
+def run_cli(monkeypatch, capsys):
+    """Run the CLI in process through cli.run(), as the console script does,
+    and return its exit code, stdout and stderr."""
+
+    def run(*args, check=True):
+        monkeypatch.setattr(sys, "argv", ["cluster", *args])
+        try:
+            cli.run()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        out = CliResult(code, *capsys.readouterr())
+        if check and out.returncode != 0:
+            raise AssertionError("exit %d\nstdout: %s\nstderr: %s" % out)
+        return out
+
+    return run
+
+
+# what `python -m clusteralg.cli` runs, for a child that runs a prelude first
+RUN_MODULE = (
+    "import runpy; runpy.run_module('clusteralg.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+def _entry_point(*args, prelude=""):
+    """`python -m clusteralg.cli *args` in a child process, after running
+    prelude there."""
+    command = ["-c", prelude + RUN_MODULE] if prelude else ["-m", "clusteralg.cli"]
+    return subprocess.run([sys.executable, *command, *args], capture_output=True, text=True)
+
+
+def test_f_poly_output(run_cli):
     out = run_cli("f-poly", "--type", "A2", "--path", "2,1")
     assert out.stdout.splitlines() == [
         "F[1] = y1*y2 + y1 + 1",
@@ -35,31 +58,31 @@ def test_f_poly_output():
     ]
 
 
-def test_f_poly_json():
+def test_f_poly_json(run_cli):
     out = run_cli("f-poly", "--type", "A2", "--path", "2,1", "--json")
     data = json.loads(out.stdout)
     assert set(data) == {"F"} and len(data["F"]) == 2
 
 
-def test_g_vector_and_d_vector():
+def test_g_vector_and_d_vector(run_cli):
     out = run_cli("g-vector", "--type", "A2", "--path", "2,1")
     assert "(-1, 0)" in out.stdout and "(0, -1)" in out.stdout
     out = run_cli("d-vector", "--type", "A2", "--path", "2,1")
     assert "(1, 1)" in out.stdout and "(0, 1)" in out.stdout
 
 
-def test_graph_summary_line():
+def test_graph_summary_line(run_cli):
     out = run_cli("graph", "--type", "A2", "--coeffs", "principal")
     assert out.stdout.strip() == "vertices=5 edges=5 finite=true"
 
 
-def test_graph_json():
+def test_graph_json(run_cli):
     out = run_cli("graph", "--type", "A3", "--coeffs", "trivial", "--json")
     data = json.loads(out.stdout)
     assert data["vertices"] == 14 and data["finite"] is True
 
 
-def test_mutate_round_trip(tmp_path):
+def test_mutate_round_trip(run_cli, tmp_path):
     src = tmp_path / "b.json"
     src.write_text(json.dumps({"B": [[0, 2], [-1, 0]]}))
     out = run_cli("mutate", "--matrix", str(src), "--path", "1", "--json")
@@ -71,67 +94,56 @@ def test_walk_matches_expected_file():
     expected = open(
         os.path.join(PKG_ROOT, "tests", "data", "walk_A2_principal_expected.txt")
     ).read()
-    out = run_cli("walk", "--type", "A2", "--path", "2,1,2,1,2")
+    out = _entry_point("walk", "--type", "A2", "--path", "2,1,2,1,2")
+    assert out.returncode == 0
     assert out.stdout == expected
 
 
-def test_belt_command():
+def test_belt_command(run_cli):
     out = run_cli("belt", "--type", "A2", "--range", "0:5")
     assert "x[1;0] = x1" in out.stdout
 
 
-def test_ysystem_command():
+def test_ysystem_command(run_cli):
     out = run_cli(
         "ysystem", "--type", "A2", "--steps", "4", "--semifield", "universal"
     )
     assert "y[1;3]" in out.stdout
 
 
-def _stdout_in_process(monkeypatch, capsys, *args):
-    monkeypatch.setattr(sys, "argv", ["cluster", *args])
-    cli.run()
-    return capsys.readouterr().out
-
-
-def test_universal_and_specialize(monkeypatch, capsys):
-    out = _stdout_in_process(monkeypatch, capsys, "universal", "--type", "A2")
+def test_universal_and_specialize(run_cli):
+    out = run_cli("universal", "--type", "A2").stdout
     assert "p[a1+a2]" in out
-    out = _stdout_in_process(
-        monkeypatch, capsys, "specialize", "--type", "A2", "--target", "principal"
-    )
+    out = run_cli("specialize", "--type", "A2", "--target", "principal").stdout
     assert "phi(p[a1]) = y1" in out
 
 
-def test_universal_d4_matches_expected_file(monkeypatch, capsys):
+def test_universal_d4_matches_expected_file(run_cli):
     expected = open(
         os.path.join(PKG_ROOT, "tests", "data", "universal_D4_expected.txt")
     ).read()
-    out = _stdout_in_process(monkeypatch, capsys, "universal", "--type", "D4")
+    out = run_cli("universal", "--type", "D4").stdout
     assert out == expected
 
 
-def test_graph_d4_principal_json_matches_expected_file(monkeypatch, capsys):
+def test_graph_d4_principal_json_matches_expected_file(run_cli):
     expected = open(
         os.path.join(PKG_ROOT, "tests", "data", "graph_D4_principal_expected.json")
     ).read()
-    out = _stdout_in_process(
-        monkeypatch, capsys, "graph", "--type", "D4", "--coeffs", "principal", "--json"
-    )
+    out = run_cli("graph", "--type", "D4", "--coeffs", "principal", "--json").stdout
     assert out == expected
 
 
-def test_specialize_d4_matches_expected_file(monkeypatch, capsys):
+def test_specialize_d4_matches_expected_file(run_cli):
     expected = open(
         os.path.join(PKG_ROOT, "tests", "data", "specialize_D4_expected.txt")
     ).read()
-    out = _stdout_in_process(
-        monkeypatch, capsys, "specialize", "--type", "D4", "--target", "principal"
-    )
+    out = run_cli("specialize", "--type", "D4", "--target", "principal").stdout
     assert out == expected
 
 
 @pytest.mark.slow
-def test_e7_universal_text_and_specialize_seed_count_are_pinned():
+def test_e7_universal_text_and_specialize_seed_count_are_pinned(run_cli):
     # both pinned from the exchange-graph route that the d-vector walk
     # replaced
     out = run_cli("universal", "--type", "E7")
@@ -202,24 +214,59 @@ def test_belt_of_a_matrix_that_is_not_bipartite_is_a_usage_error(
     assert out.err == "usage error: no bipartite belt: the exchange matrix is not bipartite\n"
 
 
-def test_check_command_reports_clean():
+def test_check_command_reports_clean(run_cli):
     out = run_cli("check", "--type", "A2")
     assert out.returncode == 0
     assert "violations=0" in out.stdout.replace(" ", "") or "0 violation" in out.stdout
 
 
 def test_usage_error_exit_code_2():
-    out = run_cli("walk", "--type", "A2", "--no-such-flag", check=False)
+    out = _entry_point("walk", "--type", "A2", "--no-such-flag")
     assert out.returncode == 2
 
 
-def test_bad_input_exit_code():
+# the max-recurrence of the d-vectors off by one in every entry
+OFF_BY_ONE = (
+    "import clusteralg.parametrization as p; real = p.exchanged_d_vector; "
+    "p.exchanged_d_vector = lambda *a: tuple(v + 1 for v in real(*a)); "
+)
+
+
+def test_entry_point_exits_1_on_a_cross_check_failure():
+    out = _entry_point("d-vector", "--type", "A2", "--path", "2,1", prelude=OFF_BY_ONE)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("CrossCheckFailure: ")
+
+
+@pytest.mark.parametrize(
+    "command, failure",
+    [
+        ("d-vector", "x_1 after path (2, 1): (1, 1) by Laurent extraction, (3, 3)"),
+        ("walk", "x_2 after path (2,): (0, 1) by Laurent extraction, (1, 2)"),
+    ],
+)
+def test_cli_d_vectors_are_cross_checked(run_cli, monkeypatch, command, failure):
+    real = parametrization.exchanged_d_vector
+    monkeypatch.setattr(
+        parametrization, "exchanged_d_vector", lambda *a: tuple(v + 1 for v in real(*a))
+    )
+    out = run_cli(command, "--type", "A2", "--path", "2,1", check=False)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == (
+        "CrossCheckFailure: d-vector of %s by the max-recurrence\n" % failure
+    )
+
+
+def test_bad_input_exit_code(run_cli):
     out = run_cli("walk", "--type", "Z9", "--path", "1", check=False)
     assert out.returncode in (1, 2)
     assert out.stderr
 
 
-def test_out_flag_writes_file(tmp_path):
+def test_out_flag_writes_file(run_cli, tmp_path):
     dest = tmp_path / "out.txt"
     run_cli("f-poly", "--type", "A2", "--path", "2,1", "--out", str(dest))
     assert dest.read_text().startswith("F[1] = ")
@@ -232,19 +279,19 @@ def _assert_one_line_usage_error(out):
     assert out.stderr.startswith("usage error: ")
 
 
-def test_mutate_direction_zero_is_a_usage_error():
+def test_mutate_direction_zero_is_a_usage_error(run_cli):
     _assert_one_line_usage_error(
         run_cli("mutate", "--type", "A2", "--path", "0", check=False)
     )
 
 
-def test_mutate_nonpositive_directions_are_a_usage_error():
+def test_mutate_nonpositive_directions_are_a_usage_error(run_cli):
     _assert_one_line_usage_error(
         run_cli("mutate", "--type", "A2", "--path", "0,-1", check=False)
     )
 
 
-def test_mutate_direction_above_rank_is_a_usage_error(tmp_path):
+def test_mutate_direction_above_rank_is_a_usage_error(run_cli, tmp_path):
     src = tmp_path / "b.json"
     src.write_text(json.dumps({"B": [[0, 2], [-1, 0]]}))
     _assert_one_line_usage_error(
@@ -253,7 +300,7 @@ def test_mutate_direction_above_rank_is_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("rows", [[[0, 1], [-1]], []])
-def test_mutate_ragged_or_empty_matrix_is_a_usage_error(tmp_path, rows):
+def test_mutate_ragged_or_empty_matrix_is_a_usage_error(run_cli, tmp_path, rows):
     src = tmp_path / "b.json"
     src.write_text(json.dumps({"B": rows}))
     _assert_one_line_usage_error(

@@ -196,7 +196,7 @@ def test_universal_exchange_relations_refuse_a_truncated_exchange_graph(monkeypa
 
 
 def test_cluster_walk_refuses_a_revisit_with_another_matrix(monkeypatch):
-    # on A3 the tenth mutation, vertex 3 in direction 1, revisits a vertex;
+    # on A3 the tenth mutation, vertex 4 in direction 1, revisits a vertex;
     # with its first row negated the two matrices must both be named
     calls, matrices = [], []
 
@@ -212,7 +212,7 @@ def test_cluster_walk_refuses_a_revisit_with_another_matrix(monkeypatch):
     with pytest.raises(CrossCheckFailure) as info:
         universal_exchange_relations(universal_build(named_matrix("A3")))
     message = str(info.value)
-    assert "vertex 3 mutated in direction 1 revisits vertex" in message
+    assert "vertex 4 mutated in direction 1 revisits vertex" in message
     assert "%r, not %r" % tuple(matrices[::-1]) in message
 
 
