@@ -38,7 +38,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul
 
-from .bipartite import orbit_vector, tau_action
+from .bipartite import orbit_vector, tau_action, tracked
 from .laurent import LaurentPolynomial
 from .mutation import _pos, mutate_matrix, principal_extension
 from .principal import CrossCheckFailure, g_recurrence
@@ -74,9 +74,7 @@ def _belt_degrees(A, eps, m_hi):
     steps = []
     box = {(i + 1, 0 if eps[i] == 1 else -1): (0,) * n for i in range(n)}
     for m in range(0, m_hi):
-        for j in range(n):
-            if eps[j] != (1 if (m + 1) % 2 == 0 else -1):
-                continue
+        for j in tracked(eps, m + 1):
             d = orbit_vector(A, eps, j, m - 1, tau_action)
             lo = tuple(_pos(-v) for v in d)
             hi = tuple(_pos(v) for v in d)
@@ -340,8 +338,8 @@ def belt_residues(belt, cap, p):
                     "Y_%d at belt seed %d: %d by y-seed mutation,"
                     " %d by y^c prod F^b, mod %d" % (j + 1, m, Y[j], other, p)
                 )
-        for i, e in enumerate(belt.eps):
-            if e == (1 if m % 2 == 0 else -1):
+        for i in range(n):
+            if i in tracked(belt.eps, m):
                 out.append(("x", i + 1, m, X[i]))
             else:
                 out.append(("y", i + 1, m, Y[i]))

@@ -11,7 +11,12 @@ from .mutation import (
     positive_definite,
     tree_symmetrizer,
 )
-from .principal import CrossCheckFailure, PrincipalPattern, seed_signature
+from .principal import (
+    CrossCheckFailure,
+    PrincipalPattern,
+    g_mutation_rule,
+    seed_signature,
+)
 
 
 class NotBipartite(ValueError):
@@ -49,25 +54,23 @@ def e_action(eps, v):
     return tuple(-e * c for e, c in zip(eps, v))
 
 
-def _word_signs(eps_i, r):
-    """Application order (first applied first) for the alternating words."""
-    return [eps_i * (1 if s % 2 == 0 else -1) for s in range(r)]
+def tracked(eps, m):
+    """The 0-based indices i with eps(i) = (-1)^m: the belt tracks x_{i;m}
+    at these i, and y_{j;m} at the j of tracked(eps, m - 1)."""
+    sign = -1 if m % 2 else 1
+    return tuple(i for i, e in enumerate(eps) if e == sign)
 
 
 def orbit_vector(A, eps, i, m, op=t_action):
     """alpha(i;m) (op=t_action) or d(i;m) (op=tau_action), 0-based i."""
     n = len(A)
-    if m >= 0:
-        r = m
-        if eps[i] != (1 if r % 2 == 0 else -1):
-            raise ValueError("alpha(i;m) requires eps(i) = (-1)^m")
-    else:
-        r = -m - 1
-        if eps[i] != (1 if r % 2 == 1 else -1):
-            raise ValueError("alpha(j;-r-1) requires eps(j) = (-1)^(r-1)")
+    if i not in tracked(eps, m):
+        raise ValueError("alpha(i;m) requires eps(i) = (-1)^m")
+    r = m if m >= 0 else -m - 1
     v = _simple(n, i, -1)
-    for s in _word_signs(eps[i], r):
-        v = op(A, eps, s, v)
+    # the alternating word, first applied first: signs eps(i), -eps(i), ...
+    for s in range(r):
+        v = op(A, eps, eps[i] * (-1) ** s, v)
     return v
 
 
@@ -99,7 +102,7 @@ def cartan_symmetrizer(A):
     return d
 
 
-def coxeter_data(A, cap=1000):
+def coxeter_data(A):
     """t+/t- matrices, the order h of t+t- (or None), finite-type flag."""
     A = matrix(A)
     eps = bipartite_sign_from_cartan(A)
@@ -108,16 +111,14 @@ def coxeter_data(A, cap=1000):
     finite = positive_definite(A, cartan_symmetrizer(A))
     h = None
     # t+t- is a Coxeter element, of infinite order in infinite type
-    # (Howlett 1982), so its order is searched for only in finite type
+    # (Howlett 1982) and of finite order in finite type, where the Weyl
+    # group is finite, so its order is searched for only in finite type
     if finite:
         C = _mat_mul(tp, tm)
         ident = _identity(len(A))
-        P = C
-        for r in range(1, cap + 1):
-            if P == ident:
-                h = r
-                break
-            P = _mat_mul(P, C)
+        h, P = 1, C
+        while P != ident:
+            h, P = h + 1, _mat_mul(P, C)
     return {"eps": eps, "t_plus": tp, "t_minus": tm, "h": h, "finite_type": finite}
 
 
@@ -162,7 +163,7 @@ class Belt:
 
     def x_im(self, i, m):
         """Cluster variable x_{i;m}; requires eps(i) = (-1)^m."""
-        if self.eps[i - 1] != (1 if m % 2 == 0 else -1):
+        if i - 1 not in tracked(self.eps, m):
             raise ValueError("x_{i;m} requires eps(i) = (-1)^m")
         return self.state(m).X[i - 1]
 
@@ -171,7 +172,7 @@ class Belt:
 
     def y_jm_tracked(self, j, m):
         """Tropical value of y_{j;m} (requires eps(j) = (-1)^(m-1))."""
-        if self.eps[j - 1] != (1 if (m - 1) % 2 == 0 else -1):
+        if j - 1 not in tracked(self.eps, m - 1):
             raise ValueError("y_{j;m} requires eps(j) = (-1)^(m-1)")
         return self.c_vector(j, m)
 
@@ -183,20 +184,14 @@ class Belt:
         """x and y parity relations between consecutive belt seeds."""
         st0 = self.state(m)
         st1 = self.state(m + 1)
-        n = self.n
-        par = 1 if m % 2 == 0 else -1
-        for i in range(n):
-            if self.eps[i] == par and st0.X[i] != st1.X[i]:
+        for i in tracked(self.eps, m):
+            if st0.X[i] != st1.X[i]:
                 raise CrossCheckFailure("x-parity fails at i=%d m=%d" % (i + 1, m))
-        ypar = 1 if (m - 1) % 2 == 0 else -1
-        for j in range(n):
-            if self.eps[j] == ypar:
-                c0 = self.c_vector(j + 1, m)
-                c1 = self.c_vector(j + 1, m + 1)
-                if tuple(-v for v in c0) != c1:
-                    raise CrossCheckFailure(
-                        "y-parity fails at j=%d m=%d" % (j + 1, m)
-                    )
+        for j in tracked(self.eps, m - 1):
+            c0 = self.c_vector(j + 1, m)
+            c1 = self.c_vector(j + 1, m + 1)
+            if tuple(-v for v in c0) != c1:
+                raise CrossCheckFailure("y-parity fails at j=%d m=%d" % (j + 1, m))
 
     def verify_exchange(self, j, m):
         """x_{j;m-1} x_{j;m+1} = y^{[-d]+} prod x_{i;m}^{-a_ij} + y^{[d]+}
@@ -237,10 +232,9 @@ def belt_walk(B, m_range, verify=True):
         for m in range(lo, hi):
             belt.verify_parity(m)
         for m in range(lo + 1, hi):
-            for j in range(1, belt.n + 1):
-                if belt.eps[j - 1] == (1 if (m - 1) % 2 == 0 else -1):
-                    belt.verify_exchange(j, m)
-                    belt.verify_tropical_y(j, m)
+            for j in tracked(belt.eps, m - 1):
+                belt.verify_exchange(j + 1, m)
+                belt.verify_tropical_y(j + 1, m)
     return belt
 
 
@@ -287,9 +281,7 @@ def y_system_solve(A, S, steps, initial="u", initial_values=None, eps=None):
         else:
             vals[(i + 1, 0)] = v
     for m in range(0, steps):
-        for i in range(n):
-            if eps[i] != (1 if m % 2 == 0 else -1):
-                continue
+        for i in tracked(eps, m):
             prod = S.one()
             for j in range(n):
                 if eps[j] == -eps[i] and A[j][i]:
@@ -334,11 +326,9 @@ def periodicity_check(B, mode="seeds", cap=40):
                     minimal = p
                     break
             return {"finite": True, "h": h, "period": minimal, "divides": period}
-        for j in range(1, belt.n + 1):
-            for m in (0, 1):
-                if eps[j - 1] != (1 if (m - 1) % 2 == 0 else -1):
-                    continue
-                if belt.y_universal(j, m) != belt.y_universal(j, m + period):
+        for m in (0, 1):
+            for j in tracked(eps, m - 1):
+                if belt.y_universal(j + 1, m) != belt.y_universal(j + 1, m + period):
                     raise CrossCheckFailure("Y-value period fails")
         return {"finite": True, "h": h, "divides": period}
     # infinite type: distinctness, certified from residues mod p
@@ -356,7 +346,7 @@ def involution_from_boundary(A, eps, h):
     n = len(A)
     star = {}
     for i in range(n):
-        if eps[i] == (1 if (h + 1) % 2 == 0 else -1):
+        if i in tracked(eps, h + 1):
             v = orbit_vector(A, eps, i, h + 1, t_action)
         else:
             v = orbit_vector(A, eps, i, -h - 2, t_action)
@@ -391,43 +381,31 @@ def belt_verify(B, m_range=None):
     pat1 = PrincipalPattern(B1)
     wminus = belt.mu_minus
     for m in range(m_range[0], m_range[1] + 1):
-        for i in range(1, n + 1):
-            if eps[i - 1] != (1 if m % 2 == 0 else -1):
-                continue
-            X = belt.x_im(i, m)
-            d = orbit_vector(A, eps, i - 1, m, tau_action)
-            note(lp_denominator_vector(X, n) == d, "d(%d;%d)" % (i, m))
-            g = belt.pattern.g_value(belt.path(m), i)
+        for i in tracked(eps, m):
+            X = belt.x_im(i + 1, m)
+            d = orbit_vector(A, eps, i, m, tau_action)
+            note(lp_denominator_vector(X, n) == d, "d(%d;%d)" % (i + 1, m))
+            g = belt.pattern.g_value(belt.path(m), i + 1)
             note(
                 g == e_action(eps, tau_action(A, eps, -1, d)),
-                "g(%d;%d)" % (i, m),
+                "g(%d;%d)" % (i + 1, m),
             )
             # numerator constant term: X has the term x^{-d} (coefficient != 0)
             ct = any(
                 all(e[r] == -d[r] for r in range(n)) for e in X.terms
             )
-            note(ct, "constant-term(%d;%d)" % (i, m))
-            # adjacent-seed g relation
-            path1 = tuple(reversed(wminus)) + belt.path(m)
-            gp = pat1.g_value(path1, i)
-            ok = True
-            for r in range(n):
-                if eps[r] == -1:
-                    ok = ok and g[r] == -gp[r]
-                else:
-                    s = gp[r]
-                    for kq in range(n):
-                        if eps[kq] == -1:
-                            s += _pos(-B[r][kq]) * gp[kq] - B[r][kq] * _pos(-gp[kq])
-                    ok = ok and g[r] == s
-            note(ok, "g-transition-bipartite(%d;%d)" % (i, m))
+            note(ct, "constant-term(%d;%d)" % (i + 1, m))
+            # adjacent-seed g relation: Sigma_0 = mu_-(Sigma_1), and mutation
+            # at one k of mu_- leaves the column of every other one as it is
+            gp = pat1.g_value(tuple(reversed(wminus)) + belt.path(m), i + 1)
+            for k in wminus:
+                gp = g_mutation_rule(B1, k, gp)
+            note(g == gp, "g-transition-bipartite(%d;%d)" % (i + 1, m))
         # sign coherence of the d-vectors across the adjacent tracked family
+        ys = tracked(eps, m - 1)
         fam = []
-        for j in range(1, n + 1):
-            if eps[j - 1] == (1 if (m - 1) % 2 == 0 else -1):
-                fam.append(orbit_vector(A, eps, j - 1, m - 1, tau_action))
-            else:
-                fam.append(orbit_vector(A, eps, j - 1, m, tau_action))
+        for j in range(n):
+            fam.append(orbit_vector(A, eps, j, m - 1 if j in ys else m, tau_action))
         ok = all(
             all(v[r] >= 0 for v in fam) or all(v[r] <= 0 for v in fam)
             for r in range(n)
@@ -440,9 +418,8 @@ def belt_verify(B, m_range=None):
         for lo, hi, tag in ((1, h, "forward"), (-h - 1, -2, "backward")):
             produced = []
             for m in range(lo, hi + 1):
-                for i in range(n):
-                    if eps[i] == (1 if m % 2 == 0 else -1):
-                        produced.append(orbit_vector(A, eps, i, m, t_action))
+                for i in tracked(eps, m):
+                    produced.append(orbit_vector(A, eps, i, m, t_action))
             note(
                 sorted(produced) == sorted(positives),
                 "positive-root multiset (%s track)" % tag,

@@ -20,7 +20,7 @@ from .mutation import (
     named_matrix,
     rank2_matrix,
 )
-from .parametrization import d_vector as _d_vector
+from .parametrization import checked_d_vector, recurrence_d_vectors
 from .principal import CrossCheckFailure, PrincipalPattern
 from .semifield import (
     PositiveRationalSemifield,
@@ -182,8 +182,10 @@ def _walk_text(B0, path):
     pat = PrincipalPattern(B0)
     n = pat.n
     yvars = pat.yvars
+    yhat = pat.y_hat(())
+    mapping = {yvars[r]: yhat[r] for r in range(n)}
     lines = []
-    for t in range(len(path) + 1):
+    for t, d in enumerate(recurrence_d_vectors(pat, path)):
         prefix = path[:t]
         st = pat.state(prefix)
         lines.append("t=%d" % t)
@@ -197,8 +199,6 @@ def _walk_text(B0, path):
             )
         for j in range(n):
             lines.append("F[%d] = %s" % (j + 1, lp_canonical_text(st.F[j])))
-        yhat = pat.y_hat(())
-        mapping = {yvars[r]: yhat[r] for r in range(n)}
         for j in range(n):
             sub = lp_substitute_monomial(st.F[j], mapping)
             lines.append(
@@ -209,7 +209,8 @@ def _walk_text(B0, path):
         for j in range(n):
             lines.append("g[%d] = %s" % (j + 1, str(st.g[j])))
         for j in range(n):
-            lines.append("d[%d] = %s" % (j + 1, str(_d_vector(B0, prefix, j + 1, pat))))
+            dj = checked_d_vector(pat, prefix, j + 1, d[j])
+            lines.append("d[%d] = %s" % (j + 1, str(dj)))
         lines.append("")
     return "\n".join(lines)
 
@@ -266,7 +267,11 @@ def d_vector(type_name, matrix_file, rank2, path_text, out):
     B, _ = _load_b(type_name, matrix_file, rank2)
     pat = PrincipalPattern(B)
     path = _parse_path(path_text)
-    lines = ["d[%d] = %s" % (j + 1, _d_vector(B, path, j + 1, pat)) for j in range(pat.n)]
+    *_, d = recurrence_d_vectors(pat, path)
+    lines = [
+        "d[%d] = %s" % (j + 1, checked_d_vector(pat, path, j + 1, d[j]))
+        for j in range(pat.n)
+    ]
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -345,7 +350,7 @@ def belt(type_name, matrix_file, rank2, range_text, verify, out):
     lines = []
     for m in range(m_range[0], m_range[1] + 1):
         for i in range(1, bw.n + 1):
-            if eps[i - 1] == (1 if m % 2 == 0 else -1):
+            if i - 1 in bipartite.tracked(eps, m):
                 x = _poly_fraction_text(bw.x_im(i, m))
                 d = bipartite.orbit_vector(A, eps, i - 1, m, bipartite.tau_action)
                 lines += ["x[%d;%d] = %s" % (i, m, x), "d(%d;%d) = %s" % (i, m, d)]

@@ -10,6 +10,7 @@ from .bipartite import (
     coxeter_data,
     orbit_vector,
     tau_action,
+    tracked,
     y_system_solve,
 )
 from .exchange_graph import _permute_rows
@@ -130,26 +131,24 @@ def fibonacci_polynomials(B, m_range=None):
     table = {}
     by_root = {}
     for m in range(m_range[0], m_range[1] + 1):
-        for ell in range(1, n + 1):
-            if eps[ell - 1] != (1 if m % 2 == 0 else -1):
-                continue
-            F = belt.pattern.state(belt.path(m)).F[ell - 1]
-            dv = orbit_vector(A, eps, ell - 1, m, tau_action)
+        for i in tracked(eps, m):
+            F = belt.pattern.state(belt.path(m)).F[i]
+            dv = orbit_vector(A, eps, i, m, tau_action)
             mon = [0] * n
             for j in range(n):
                 if eps[j] == 1:
                     mon[j] = _pos(dv[j])
             f = _e_plus(F, eps) * LaurentPolynomial.monomial(yvars, mon)
             if any(v < 0 for v in f.min_exponents()):
-                raise CrossCheckFailure("f is not a polynomial at (%d;%d)" % (ell, m))
+                raise CrossCheckFailure("f is not a polynomial at (%d;%d)" % (i + 1, m))
             if any(c <= 0 for c in f.terms.values()):
                 raise CrossCheckFailure("f coefficient not positive")
             if len(f.terms) != len(F.terms):
                 raise CrossCheckFailure("monomial count changed")
             back = _e_plus(f, eps) * LaurentPolynomial.monomial(yvars, mon)
             if back != F:
-                raise CrossCheckFailure("f/F round trip failed at (%d;%d)" % (ell, m))
-            table[(ell, m)] = {"F": F, "f": f, "d": dv}
+                raise CrossCheckFailure("f/F round trip failed at (%d;%d)" % (i + 1, m))
+            table[(i + 1, m)] = {"F": F, "f": f, "d": dv}
             if dv in by_root and by_root[dv] != f:
                 raise CrossCheckFailure("F[alpha] is not well defined")
             by_root[dv] = f
@@ -173,7 +172,7 @@ def fibonacci_recurrence_check(B, fib=None, m_range=None):
     checked = 0
     for (j, m1), entry in sorted(fib["table"].items()):
         m = m1 + 1  # entry holds d(j;m-1) = tau+ alpha
-        if eps[j - 1] != (1 if (m - 1) % 2 == 0 else -1):
+        if j - 1 not in tracked(eps, m - 1):
             continue
         alpha = orbit_vector(A, eps, j - 1, -m - 1, tau_action)
         dmin = entry["d"]
@@ -208,7 +207,7 @@ def fibonacci_recurrence_check(B, fib=None, m_range=None):
 # -- universal coefficients -----------------------------------------------
 
 
-def universal_build(B, periods=2):
+def universal_build(B):
     """Universal tropical coefficient system over generators labeled by
     almost positive coroots, with the belt solution computed two ways."""
     B = matrix(B)
@@ -230,7 +229,7 @@ def universal_build(B, periods=2):
     y0 = tuple(
         from_coords(lambda w, j=j: eps[j] * w[j]) for j in range(n)
     )
-    steps = periods * (h + 2) + 1
+    steps = 2 * (h + 2) + 1
     initial = [from_coords(lambda w, j=j: -w[j]) for j in range(n)]
     vals = y_system_solve(A, S, steps=2 * steps, initial_values=initial, eps=eps)
     # closed form via the piecewise-linear action of the transpose on coroots;
@@ -243,7 +242,7 @@ def universal_build(B, periods=2):
             seq.append([tau_action(AT, eps, s * (-1) ** r, v) for v in seq[-1]])
     for (j, m), direct in vals.items():
         r = r_of[m]
-        sign0 = eps[j - 1] * (1 if (r - 1) % 2 == 0 else -1)
+        sign0 = -eps[j - 1] * (-1) ** r
         exps = tuple(-v[j - 1] for v in iterates[sign0][r])
         if S.monomial(exps) != direct:
             raise CrossCheckFailure(
@@ -350,21 +349,18 @@ def universal_exchange_relations(U):
 def _belt_primitive_map(U):
     """Generator -> (j, m) belt relation with {beta, beta'} = {tau+ a, tau- a}."""
     A, eps, h = U["A"], U["eps"], U["h"]
-    n = len(A)
     coroot_of = {r: i for i, r in enumerate(U["gen_roots"])}
     assign = {}
     for m in range(0, 2 * (h + 2)):
-        for j in range(1, n + 1):
-            if eps[j - 1] != (1 if (m - 1) % 2 == 0 else -1):
-                continue
-            dprev = orbit_vector(A, eps, j - 1, m - 1, tau_action)
-            dnext = orbit_vector(A, eps, j - 1, m + 1, tau_action)
+        for j in tracked(eps, m - 1):
+            dprev = orbit_vector(A, eps, j, m - 1, tau_action)
+            dnext = orbit_vector(A, eps, j, m + 1, tau_action)
             alpha = tau_action(A, eps, 1, dprev)
             if tau_action(A, eps, -1, dnext) != alpha:
                 raise CrossCheckFailure("tau+/tau- belt labels disagree")
             gi = coroot_of[alpha]
             # the universal p+ coefficient must be exactly this generator
-            y = U["solution"][(j, m)]
+            y = U["solution"][(j + 1, m)]
             pplus = tuple(_pos(v) for v in y.exps)
             unit = tuple(1 if i == gi else 0 for i in range(len(U["gen_names"])))
             if pplus != unit:
@@ -372,7 +368,7 @@ def _belt_primitive_map(U):
                     "primitive coefficient is not a single generator"
                 )
             if gi not in assign:
-                assign[gi] = (j, m)
+                assign[gi] = (j + 1, m)
     if len(assign) != len(U["gen_names"]):
         raise VerificationFailure("belt does not cover all generators")
     return assign
@@ -516,14 +512,14 @@ def rank2_mci_verify(A, coeffs="universal"):
     bexp = {}
     beta = {}
     for m in range(0, window + 5):
-        j = 1 if eps[0] == (1 if (m - 1) % 2 == 0 else -1) else 2
+        j = 1 if 0 in tracked(eps, m - 1) else 2
         i = 3 - j
         y = vals[(j, m)]
         y1 = S.oplus(y, S.one())
         q[m] = S.div(y, y1)
         r[m] = S.inverse(y1)
         bexp[m] = -A[i - 1][j - 1]
-        ell = 1 if eps[0] == (1 if m % 2 == 0 else -1) else 2
+        ell = 1 if 0 in tracked(eps, m) else 2
         beta[m] = orbit_vector(A, eps, ell - 1, m, tau_action)
     report = {"h": h, "cycle": period, "checked": 0, "violations": []}
 

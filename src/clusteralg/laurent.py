@@ -43,7 +43,6 @@ import heapq
 import json
 import random
 import re
-import sys
 from math import gcd
 from operator import add, mul, sub
 
@@ -58,10 +57,6 @@ class ZeroPolynomial(ValueError):
 
 def _grlex_key(exps):
     return (sum(exps), exps)
-
-
-# native memoryview formats of the field widths that fit a machine word
-_FORMATS = {16: "H", 32: "I", 64: "Q"}
 
 
 class _Packing:
@@ -94,20 +89,10 @@ class _Packing:
                 tuple(map(add, k.to_bytes(nbytes, "big")[1:], offset)): c
                 for k, c in items
             }
-        fmt = _FORMATS.get(width)
-        if fmt is None:
-            mask = (1 << width) - 1
-            shifts = range((n - 1) * width, -1, -width)
-            return {
-                tuple(((k >> s) & mask) + o for s, o in zip(shifts, offset)): c
-                for k, c in items
-            }
-        # native order: the little end holds e_{n-1} first, the big end
-        # the degree field first
-        order = sys.byteorder
-        fields = slice(n - 1, None, -1) if order == "little" else slice(1, None)
+        mask = (1 << width) - 1
+        shifts = range((n - 1) * width, -1, -width)
         return {
-            tuple(map(add, memoryview(k.to_bytes(nbytes, order)).cast(fmt)[fields], offset)): c
+            tuple(((k >> s) & mask) + o for s, o in zip(shifts, offset)): c
             for k, c in items
         }
 

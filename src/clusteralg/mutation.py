@@ -288,7 +288,7 @@ def mutate_seed_geometric(seed, k):
     return child
 
 
-def mutate_seed_rational_oracle(x, ys, k, max_rank=3, max_steps=8, _step_budget=None):
+def mutate_seed_rational_oracle(x, ys, k, max_rank=3):
     """General exchange relation over explicit rational functions.
 
     Desk-scale oracle: x'_k = (y_k prod x^{[b_ik]+} + prod x^{[-b_ik]+})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mutation import exchanged_d_vector, matrix, mutate_matrix
+from .mutation import exchanged_d_vector, matrix
 from .principal import (
     CrossCheckFailure,
     PrincipalPattern,
@@ -21,22 +21,35 @@ class NotInM(ValueError):
     pass
 
 
+def recurrence_d_vectors(pat, path):
+    """The d-vectors of the cluster at each vertex of path, the root first,
+    by the max-recurrence: one exchanged_d_vector call per step, on the
+    column of the pattern's matrix at the vertex before it."""
+    n = pat.n
+    d = tuple(tuple(-1 if i == l else 0 for i in range(n)) for l in range(n))
+    yield d
+    for t, k in enumerate(path):
+        col = [row[k - 1] for row in pat.state(path[:t]).Btilde]
+        d = d[: k - 1] + (exchanged_d_vector(d, col, k),) + d[k:]
+        yield d
+
+
+def checked_d_vector(pat, path, ell, recurred):
+    """The d-vector of x_ell at the end of path by Laurent extraction,
+    which must equal recurred, its value by the max-recurrence."""
+    extracted = pat.d_value(path, ell)
+    if extracted != recurred:
+        msg = "d-vector of x_%d after path %r: %r by Laurent extraction, %r by the max-recurrence"
+        raise CrossCheckFailure(msg % (ell, tuple(path), extracted, recurred))
+    return extracted
+
+
 def d_vector(B0, path, ell, pattern=None):
     """Denominator vector at (path, ell), by Laurent extraction and by the
     max-recurrence; the two routes must agree."""
     pat = pattern if pattern is not None else PrincipalPattern(B0)
-    n = pat.n
-    extracted = pat.d_value(path, ell)
-    # recurrence along the path
-    d = [tuple(-1 if i == l else 0 for i in range(n)) for l in range(n)]
-    Bt = pat.state(()).Btilde
-    for k in path:
-        d[k - 1] = exchanged_d_vector(d, [row[k - 1] for row in Bt], k)
-        Bt = mutate_matrix(Bt, k)
-    if extracted != d[ell - 1]:
-        msg = "d-vector of x_%d after path %r: %r by Laurent extraction, %r by the max-recurrence"
-        raise CrossCheckFailure(msg % (ell, tuple(path), extracted, d[ell - 1]))
-    return extracted
+    *_, d = recurrence_d_vectors(pat, path)
+    return checked_d_vector(pat, path, ell, d[ell - 1])
 
 
 def _row_reduce(rows):

@@ -13,8 +13,8 @@ tuple indexed from 0.
 The exchange relation at a vertex fixes X_k', F_k' = X_k'|_{x=1} and the
 g-vector of X_k'.  A pattern divides once per exchangeable pair (mutation
 is an involution; see _step), checks it once, and keeps the result in its
-exchange table; the checks that read the vertex (g-vector recurrences,
-degree consistency) run on every step.
+exchange table; the checks that read the vertex (the two g-vector
+recurrences, whose agreement is degree consistency) run on every step.
 """
 
 from __future__ import annotations
@@ -72,49 +72,45 @@ def g_recurrence(Bt, g, k, b0cols):
     vertex with extended matrix Bt and g-vectors g mutates at k, b0cols
     being the columns of the initial exchange matrix.
 
-    Both recurrences (through the b_ik > 0 and through the b_ik < 0) are
-    computed and must agree, and the degree-consistency identity
-    sum_i b_ik g_i = sum_j b_{n+j,k} b0_j must hold.
+    It is computed through the b_ik > 0 and through the b_ik < 0.  The two
+    differ by sum_i b_ik g_i - sum_j b_{n+j,k} b0_j, so their agreement is
+    the degree-consistency identity, and a CrossCheckFailure otherwise.
     """
     n = len(g)
     kk = k - 1
-    gk1 = [-v for v in g[kk]]
-    gk2 = [-v for v in g[kk]]
-    for i in range(n):
-        b = Bt[i][kk]
-        if b > 0:
-            for r in range(n):
-                gk1[r] += b * g[i][r]
-        elif b < 0:
-            for r in range(n):
-                gk2[r] += (-b) * g[i][r]
-    for j in range(n):
-        c = Bt[n + j][kk]
-        col = b0cols[j]
-        if c > 0:
-            for r in range(n):
-                gk1[r] -= c * col[r]
-        elif c < 0:
-            for r in range(n):
-                gk2[r] -= (-c) * col[r]
-    if gk1 != gk2:
-        raise CrossCheckFailure("g-vector recurrences disagree at k=%d" % k)
-    lhs = [0] * n
-    rhs = [0] * n
-    for i in range(n):
-        b = Bt[i][kk]
-        if b:
-            for r in range(n):
-                lhs[r] += b * g[i][r]
-    for j in range(n):
-        c = Bt[n + j][kk]
-        if c:
-            col = b0cols[j]
-            for r in range(n):
-                rhs[r] += c * col[r]
-    if lhs != rhs:
-        raise CrossCheckFailure("degree-consistency identity fails at k=%d" % k)
-    return tuple(gk1)
+    gk = []
+    for s in (1, -1):
+        v = [-a for a in g[kk]]
+        for i in range(n):
+            b = s * Bt[i][kk]
+            if b > 0:
+                for r in range(n):
+                    v[r] += b * g[i][r]
+        for j in range(n):
+            c = s * Bt[n + j][kk]
+            if c > 0:
+                col = b0cols[j]
+                for r in range(n):
+                    v[r] -= c * col[r]
+        gk.append(tuple(v))
+    if gk[0] != gk[1]:
+        raise CrossCheckFailure(
+            "g-vector recurrences disagree at k=%d: %s through b_ik > 0, %s through"
+            " b_ik < 0, so sum_i b_ik g_i != sum_j b_{n+j,k} b0_j" % (k, gk[0], gk[1])
+        )
+    return gk[0]
+
+
+def g_mutation_rule(B0, k, g):
+    """The g-vector, with respect to the seed mu_k(t0), of the cluster
+    variable whose g-vector with respect to t0 (exchange matrix B0) is g:
+    g'_k = -g_k and g'_j = g_j + [b_jk]+ g_k - b_jk min(g_k, 0) for j != k
+    (FZ IV Conj. 7.12, proven by Gross-Hacking-Keel-Kontsevich)."""
+    kk = k - 1
+    gk = g[kk]
+    out = [a + _pos(row[kk]) * gk - row[kk] * min(gk, 0) for a, row in zip(g, B0)]
+    out[kk] = -gk
+    return tuple(out)
 
 
 class PrincipalPattern:
@@ -587,17 +583,10 @@ def _transition_verdict(pat0, pat1, k, path, ell):
         gp, hk, hpk = _g_transition(pat0, pat1, k, path, ell)
     except CrossCheckFailure as exc:
         return str(exc), None, None
-    B0 = pat0.B0
     g = pat0.state(path).g[ell - 1]
     kk = k - 1
     h_ok = hpk == -_pos(g[kk]) and hk == min(0, g[kk])
-    # conjectured closed form h'_k = -[g_k]+ via the dual rule
-    pred = list(g)
-    pred[kk] = -g[kk]
-    for j in range(pat0.n):
-        if j != kk:
-            pred[j] = g[j] + _pos(B0[j][kk]) * g[kk] - B0[j][kk] * min(g[kk], 0)
-    return None, h_ok, tuple(pred) == gp
+    return None, h_ok, g_mutation_rule(pat0.B0, k, g) == gp
 
 
 # checked on every (seed, ell); d_through_F only where X is not a monomial

@@ -151,24 +151,14 @@ class TropicalSemifield(Semifield):
 class UniversalSemifield(Semifield):
     """Subtraction-free rational expressions over named generators; oplus is +."""
 
-    def __init__(self, gens, hints=()):
+    def __init__(self, gens):
         self.gens = tuple(gens)
-        self.hints = tuple(hints)
 
     def one(self):
-        return RationalExpression.from_poly(
-            LaurentPolynomial.const(self.gens, 1), self.hints
-        )
+        return RationalExpression.from_poly(LaurentPolynomial.const(self.gens, 1))
 
     def generator(self, name):
-        return RationalExpression.from_poly(
-            LaurentPolynomial.var(self.gens, name), self.hints
-        )
-
-    def value(self, poly_or_re):
-        if isinstance(poly_or_re, LaurentPolynomial):
-            return RationalExpression.from_poly(poly_or_re, self.hints)
-        return poly_or_re
+        return RationalExpression.from_poly(LaurentPolynomial.var(self.gens, name))
 
     def mul(self, a, b):
         return a * b
@@ -182,9 +172,7 @@ class UniversalSemifield(Semifield):
     def from_const(self, n):
         if n <= 0:
             raise ValueError("constants must be positive")
-        return RationalExpression.from_poly(
-            LaurentPolynomial.const(self.gens, n), self.hints
-        )
+        return RationalExpression.from_poly(LaurentPolynomial.const(self.gens, n))
 
 
 class TrivialSemifield(Semifield):

@@ -22,6 +22,7 @@ from clusteralg.bipartite import (
     periodicity_check,
     t_action,
     tau_action,
+    tracked,
     y_system_solve,
 )
 from clusteralg.laurent import lp_denominator_vector, lp_parse
@@ -33,7 +34,7 @@ from clusteralg.mutation import (
     named_matrix,
     rank2_matrix,
 )
-from clusteralg.principal import CrossCheckFailure
+from clusteralg.principal import CrossCheckFailure, g_mutation_rule
 from clusteralg.semifield import PositiveRationalSemifield, UniversalSemifield
 
 A2_CARTAN = CARTAN["A2"]
@@ -154,6 +155,44 @@ def test_belt_verify_clean():
         report = belt_verify(named_matrix(name))
         assert report["violations"] == [], (name, report)
         assert report["checked"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=8), st.integers(-60, 60))
+def test_tracked_is_the_parity_predicate(eps, m):
+    assert tracked(eps, m) == tuple(
+        i for i, e in enumerate(eps) if e == (1 if m % 2 == 0 else -1)
+    )
+
+
+def adjacent_g_reference(B, eps, gp):
+    """The g-vector at Sigma_0 of the variable whose g-vector at
+    Sigma_1 = mu_-(Sigma_0) is gp, written out over the k with eps(k) = -1."""
+    n = len(B)
+    g = []
+    for r in range(n):
+        if eps[r] == -1:
+            g.append(-gp[r])
+        else:
+            s = gp[r]
+            for k in range(n):
+                if eps[k] == -1:
+                    s += max(-B[r][k], 0) * gp[k] - B[r][k] * max(-gp[k], 0)
+            g.append(s)
+    return tuple(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["A3", "B3", "C3", "D4", "E6", "G2"]), st.data())
+def test_g_mutation_rule_over_mu_minus_is_the_adjacent_seed_relation(name, data):
+    B = named_matrix(name)
+    eps = cartan_counterpart_and_sign(B)[1]
+    gp = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=len(B), max_size=len(B))))
+    B1 = tuple(tuple(-v for v in row) for row in B)
+    g = gp
+    for k in Belt(B).mu_minus:
+        g = g_mutation_rule(B1, k, g)
+    assert g == adjacent_g_reference(B, eps, gp)
 
 
 def test_belt_walk_runs_with_verification():

@@ -9,7 +9,7 @@ from collections import namedtuple
 
 import pytest
 
-from clusteralg import cli, parametrization
+from clusteralg import cli, mutation, parametrization
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -258,6 +258,32 @@ def test_cli_d_vectors_are_cross_checked(run_cli, monkeypatch, command, failure)
     assert out.stderr == (
         "CrossCheckFailure: d-vector of %s by the max-recurrence\n" % failure
     )
+
+
+@pytest.mark.parametrize("command", ["walk", "d-vector"])
+def test_the_d_recurrence_runs_once_per_step(run_cli, monkeypatch, command):
+    calls = {"exchanged_d_vector": 0, "mutate_matrix": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    real = parametrization.exchanged_d_vector
+    monkeypatch.setattr(
+        parametrization, "exchanged_d_vector", counting("exchanged_d_vector", real)
+    )
+    monkeypatch.setattr(
+        parametrization,
+        "mutate_matrix",
+        counting("mutate_matrix", mutation.mutate_matrix),
+        raising=False,
+    )
+    path = ",".join(["1", "2", "3", "4"] * 5)
+    run_cli(command, "--type", "A4", "--path", path)
+    assert calls == {"exchanged_d_vector": 20, "mutate_matrix": 0}
 
 
 def test_bad_input_exit_code(run_cli):

@@ -1,7 +1,9 @@
 """Every name a module under src/ or tests/ imports is read somewhere in it,
-and every import sits at module level."""
+every import sits at module level, and every name the benchmark's tracer
+wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,21 @@ def test_the_scan_finds_a_function_level_import():
 def test_the_scan_finds_an_unused_import():
     source = "from os import path, sep\nimport json as j\nprint(sep)\n"
     assert unused_imports(source) == [(1, "path"), (2, "j")]
+
+
+def test_every_tracing_target_resolves():
+    # bench/ is not a package: load bench/tracing.py from its file
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # a module attribute, or an entry of the class __dict__ the tracer wraps
+    missing = [
+        name
+        for name, module, cls, attr, *_ in tracing.TARGETS
+        if not (
+            hasattr(module, attr)
+            if cls is None
+            else attr in vars(getattr(module, cls, object))
+        )
+    ]
+    assert missing == []

@@ -31,6 +31,7 @@ from clusteralg.principal import (
     PrincipalPattern,
     conjecture_suite,
     enumerate_pattern,
+    g_recurrence,
     g_transition,
     seed_signature,
     separation_evaluate,
@@ -505,6 +506,62 @@ def test_every_exchange_table_entry_is_its_keys_quotient(B, data):
             seed = mutate_seed_geometric(seed, k)
         for key, x in seed._exchanges.items():
             assert x == _key_quotient(key, seed.vars)
+
+
+def g_recurrence_reference(Bt, g, k, b0cols):
+    """(recurrence through b_ik > 0, recurrence through b_ik < 0, whether
+    sum_i b_ik g_i = sum_j b_{n+j,k} b0_j), each written out on its own."""
+    n = len(g)
+    kk = k - 1
+
+    def recurrence(sign):
+        v = [-a for a in g[kk]]
+        for i in range(n):
+            if sign * Bt[i][kk] > 0:
+                v = [a + abs(Bt[i][kk]) * b for a, b in zip(v, g[i])]
+        for j in range(n):
+            if sign * Bt[n + j][kk] > 0:
+                v = [a - abs(Bt[n + j][kk]) * b for a, b in zip(v, b0cols[j])]
+        return tuple(v)
+
+    lhs = [sum(Bt[i][kk] * g[i][r] for i in range(n)) for r in range(n)]
+    rhs = [sum(Bt[n + j][kk] * b0cols[j][r] for j in range(n)) for r in range(n)]
+    return recurrence(1), recurrence(-1), lhs == rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(TABLE_TYPES),
+    st.data(),
+    st.sampled_from(["none", "g", "b0cols"]),
+)
+def test_g_recurrence_matches_the_reference(B, data, corrupt):
+    n = len(B)
+    path = data.draw(st.lists(st.integers(1, n), max_size=6))
+    k = data.draw(st.integers(1, n))
+    pat = PrincipalPattern(B)
+    state = pat.state(path)
+    g = [list(v) for v in state.g]
+    b0cols = [list(col) for col in pat._b0cols]
+    target = {"none": None, "g": g, "b0cols": b0cols}[corrupt]
+    if target is not None:
+        i = data.draw(st.integers(0, n - 1))
+        r = data.draw(st.integers(0, n - 1))
+        target[i][r] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    g = tuple(map(tuple, g))
+    b0cols = [tuple(col) for col in b0cols]
+    plus, minus, identity = g_recurrence_reference(state.Btilde, g, k, b0cols)
+    if identity:
+        assert plus == minus
+        assert g_recurrence(state.Btilde, g, k, b0cols) == plus
+        if corrupt == "none":
+            assert plus == pat.state(tuple(path) + (k,)).g[k - 1]
+    else:
+        with pytest.raises(CrossCheckFailure) as exc:
+            g_recurrence(state.Btilde, g, k, b0cols)
+        message = str(exc.value)
+        assert "k=%d" % k in message
+        assert str(plus) in message and str(minus) in message
 
 
 def test_g_vector_disagreement_names_both_vectors(monkeypatch):
