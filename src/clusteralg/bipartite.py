@@ -30,24 +30,25 @@ def _simple(n, i, sign=1):
     return tuple(sign if j == i else 0 for j in range(n))
 
 
+def reflect(A, ks, v, w):
+    """v with each v_k, k in ks, replaced by -v_k - sum_{j != k} a_kj w_j.
+    With w = v that is s_k(v)_k, so the result is the product of the simple
+    reflections s_k when no two k are joined; tau_action passes w = [v]+."""
+    out = list(v)
+    for k in ks:
+        out[k] = -v[k] - sum(A[k][j] * w[j] for j in range(len(w)) if j != k)
+    return tuple(out)
+
+
 def t_action(A, eps, sign, v):
     """Product of simple reflections over the indices with eps(k) = sign."""
-    n = len(A)
-    out = list(v)
-    for k in range(n):
-        if eps[k] == sign:
-            out[k] = -v[k] - sum(A[k][j] * v[j] for j in range(n) if j != k)
-    return tuple(out)
+    return reflect(A, [k for k, e in enumerate(eps) if e == sign], v, v)
 
 
 def tau_action(A, eps, sign, v):
     """Piecewise-linear involution: like t but truncating at zero."""
-    n = len(A)
-    out = list(v)
-    for k in range(n):
-        if eps[k] == sign:
-            out[k] = -v[k] - sum(A[k][j] * _pos(v[j]) for j in range(n) if j != k)
-    return tuple(out)
+    ks = [k for k, e in enumerate(eps) if e == sign]
+    return reflect(A, ks, v, tuple(map(_pos, v)))
 
 
 def e_action(eps, v):
@@ -437,9 +438,7 @@ def _positive_roots(A):
         nxt = []
         for v in frontier:
             for k in range(n):
-                w = list(v)
-                w[k] = -v[k] - sum(A[k][j] * v[j] for j in range(n) if j != k)
-                w = tuple(w)
+                w = reflect(A, (k,), v, v)
                 if all(c >= 0 for c in w) and w not in roots:
                     roots.add(w)
                     nxt.append(w)

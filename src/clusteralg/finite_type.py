@@ -9,6 +9,7 @@ from .bipartite import (
     cartan_symmetrizer,
     coxeter_data,
     orbit_vector,
+    reflect,
     tau_action,
     tracked,
     y_system_solve,
@@ -85,9 +86,7 @@ def root_system_build(A):
     allroots = set(positives) | {tuple(-v for v in r) for r in positives}
     for r in allroots:
         for i in range(n):
-            s = list(r)
-            s[i] = -r[i] - sum(A[i][j] * r[j] for j in range(n) if j != i)
-            if tuple(s) not in allroots:
+            if reflect(A, (i,), r, r) not in allroots:
                 raise VerificationFailure("root set not reflection-closed")
     if len(almost) != len(positives) + n:
         raise VerificationFailure("almost-positive count mismatch")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, neg
 
 from .laurent import LaurentPolynomial, lp_exact_div, lp_exchange_monomials
 
@@ -125,33 +126,41 @@ def skew_symmetrizer(B):
     return d
 
 
+# (row k, k) -> {b_ik: the increment of a row with that b_ik under mutation
+# at k}, shared by every caller: it is a function of its key alone
+_INCREMENTS = {}
+
+
 def mutate_matrix(M, k):
     """Matrix mutation in direction k (1-based), applied to all m rows.
 
-    Both standard formulas are computed and asserted equal on every row
-    with b_ik != 0; neither changes a row with b_ik = 0.
+    Row k is negated and a row with b_ik = 0 is unchanged.  Any other row
+    gains sgn(b_ik) [b_ik b_kj]+ = [-b_ik]+ b_kj + b_ik [b_kj]+, with -2 b_ik
+    at k: a function of (b_ik, row k, k) alone.  Both formulas are computed
+    and asserted equal once per such key, and the increment is kept in a
+    module-level table that every later row with that key reads.
     """
     n = len(M[0])
     kk = _direction(k, n)
-    rowk = M[kk]
+    rowk = tuple(M[kk])
+    incs = _INCREMENTS.setdefault((rowk, kk), {})
     out = []
-    for i, row in enumerate(M):
+    for row in M:
         bik = row[kk]
-        if i == kk:
-            out.append(tuple(-b for b in row))
-            continue
         if not bik:
             out.append(tuple(row))
             continue
-        # b_ij + sgn(b_ik) [b_ik b_kj]+  and  b_ij + [-b_ik]+ b_kj + b_ik [b_kj]+
-        sgn = 1 if bik > 0 else -1
-        neg = -bik if bik < 0 else 0
-        row1 = [b + (sgn * p if (p := bik * bkj) > 0 else 0) for b, bkj in zip(row, rowk)]
-        row2 = [b + neg * bkj + (bik * bkj if bkj > 0 else 0) for b, bkj in zip(row, rowk)]
-        if row1 != row2:
-            raise AssertionError("matrix mutation formulas disagree")
-        row1[kk] = -bik
-        out.append(tuple(row1))
+        inc = incs.get(bik)
+        if inc is None:
+            sgn = 1 if bik > 0 else -1
+            neg_bik = -bik if bik < 0 else 0
+            inc = [sgn * p if (p := bik * bkj) > 0 else 0 for bkj in rowk]
+            if inc != [neg_bik * bkj + (bik * bkj if bkj > 0 else 0) for bkj in rowk]:
+                raise AssertionError("matrix mutation formulas disagree")
+            inc[kk] = -2 * bik
+            inc = incs[bik] = tuple(inc)
+        out.append(tuple(map(add, row, inc)))
+    out[kk] = tuple(map(neg, rowk))
     return tuple(out)
 
 

@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clusteralg import mutation
 from clusteralg.bipartite import cartan_symmetrizer
 from clusteralg.laurent import (
     LaurentPolynomial,
@@ -75,22 +77,32 @@ def reference_mutation(M, k):
 
 @st.composite
 def extended_matrices(draw):
-    """A skew-symmetric 2x2 or 3x3 exchange matrix with 1-3 frozen rows."""
-    n = draw(st.integers(2, 3))
+    """A skew-symmetrizable exchange matrix of rank 2-4, B = S D with S
+    skew-symmetric, so d_i b_ij = -d_j b_ji, entries in -4..4, and 0-4
+    frozen rows."""
+    n = draw(st.integers(2, 4))
+    d = [draw(st.integers(1, 4)) for _ in range(n)]
     B = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            B[i][j] = draw(st.integers(-3, 3))
-            B[j][i] = -B[i][j]
-    frozen = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3))
+            bound = 4 // max(d[i], d[j])
+            s = draw(st.integers(-bound, bound))
+            B[i][j], B[j][i] = s * d[j], -s * d[i]
+    frozen = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=4))
     return tuple(tuple(row) for row in B + frozen)
 
 
-@given(extended_matrices(), st.integers(1, 3))
-def test_extended_matrix_mutation_matches_reference_rule(M, k):
-    k = min(k, len(M[0]))
-    assert mutate_matrix(M, k) == reference_mutation(M, k)
-    assert mutate_matrix(mutate_matrix(M, k), k) == M
+@settings(max_examples=200, deadline=None)
+@given(extended_matrices(), st.data())
+def test_extended_matrix_mutation_matches_reference_rule(M, data):
+    k = data.draw(st.integers(1, len(M[0])))
+    expected = reference_mutation(M, k)
+    with mock.patch.dict(mutation._INCREMENTS, clear=True):
+        # the first call fills the increment table, the second reads it
+        assert mutate_matrix(M, k) == expected
+        assert mutate_matrix(M, k) == expected
+    assert mutate_matrix([list(row) for row in M], k) == expected
+    assert mutate_matrix(expected, k) == M
 
 
 def test_matrix_mutation_known_rank2():

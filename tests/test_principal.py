@@ -564,6 +564,9 @@ def test_g_recurrence_matches_the_reference(B, data, corrupt):
         assert str(plus) in message and str(minus) in message
 
 
+G_MESSAGE = "g-vector recurrence %s disagrees with multidegree %s at k=%d"
+
+
 def test_g_vector_disagreement_names_both_vectors(monkeypatch):
     pat = PrincipalPattern(A2)
     g = pat.state((1,)).g[0]
@@ -574,11 +577,67 @@ def test_g_vector_disagreement_names_both_vectors(monkeypatch):
         "_multidegree",
         lambda self, X: tuple(v + 1 for v in multidegree(self, X)),
     )
-    with pytest.raises(CrossCheckFailure) as exc:
-        PrincipalPattern(A2).state((1,))
-    message = str(exc.value)
-    assert "recurrences disagree" not in message
-    assert str(g) in message and str(shifted) in message and "k=1" in message
+    corrupted = PrincipalPattern(A2)
+    # a failed relation is not recorded, so the step fails again
+    for _ in range(2):
+        with pytest.raises(CrossCheckFailure) as exc:
+            corrupted.state((1,))
+        assert str(exc.value) == G_MESSAGE % (g, shifted, 1)
+
+
+def test_the_step_back_checks_the_g_recurrence_from_the_mutated_vertex(
+    monkeypatch,
+):
+    # corrupted only where it reads the mutated vertex: the forward check
+    # passes and the check of the step back, against g_1 at (), fails
+    pat = PrincipalPattern(A2)
+    Bt0, Bt1 = pat.state(()).Btilde, pat.state((1,)).Btilde
+    g1 = pat.state(()).g[0]
+    calls = []
+
+    def corrupted(Bt, g, k, b0cols):
+        calls.append(Bt)
+        v = g_recurrence(Bt, g, k, b0cols)
+        return tuple(a + 1 for a in v) if Bt == Bt1 else v
+
+    monkeypatch.setattr(principal, "g_recurrence", corrupted)
+    fresh = PrincipalPattern(A2)
+    for _ in range(2):
+        with pytest.raises(CrossCheckFailure) as exc:
+            fresh.state((1,))
+        assert str(exc.value) == G_MESSAGE % (tuple(a + 1 for a in g1), g1, 1)
+    assert calls == [Bt0, Bt1, Bt0, Bt1]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
+def test_every_stored_g_vector_is_the_multidegree_of_its_variable(name):
+    # what lets _step check the g-recurrence once per relation direction
+    pat, _, complete = enumerate_pattern(named_matrix(name), max_seeds=10 ** 6)
+    assert complete
+    for state in pat._states.values():
+        assert state.g == tuple(pat._multidegree(X) for X in state.X)
+
+
+def test_the_g_recurrence_runs_twice_per_recorded_relation(monkeypatch):
+    calls = {"step": 0, "exchange": 0, "g_recurrence": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(PrincipalPattern, "_step", counting("step", PrincipalPattern._step))
+    monkeypatch.setattr(
+        PrincipalPattern, "_exchange", counting("exchange", PrincipalPattern._exchange)
+    )
+    monkeypatch.setattr(
+        principal, "g_recurrence", counting("g_recurrence", principal.g_recurrence)
+    )
+    for name in ("A4", "D4"):
+        assert conjecture_suite(named_matrix(name), max_seeds=10 ** 6)["complete"]
+    assert calls == {"step": 14787, "exchange": 470, "g_recurrence": 940}
 
 
 def test_f_cross_check_runs_on_first_sighting(monkeypatch):
