@@ -9,10 +9,10 @@ of w that leads back to v, and the BFS skips that direction.
 from __future__ import annotations
 
 from itertools import chain, permutations, product
-from operator import itemgetter
 
 from .laurent import lp_canonical_text
 from .mutation import (
+    _permute_rows,
     cartan_counterpart_and_sign,
     initial_geometric_seed,
     matrix,
@@ -45,16 +45,6 @@ def _matrix_invariants(Bt, n):
         (tuple(sorted(Bt[i])), tuple(sorted(Bt[r][i] for r in range(m))))
         for i in range(n)
     ]
-
-
-def _permute_rows(Bt, n, sigma):
-    """Bt under a relabeling sigma (tuple: new index -> old index) of its
-    first n rows and of its columns."""
-    if n == 1:  # itemgetter of one index gives the entry, not a tuple
-        return tuple(Bt)
-    rows = [Bt[i] for i in sigma]
-    rows += Bt[n:]
-    return tuple(map(itemgetter(*sigma), rows))
 
 
 def _relabeling(texts):

@@ -14,9 +14,10 @@ from .bipartite import (
     tracked,
     y_system_solve,
 )
-from .exchange_graph import _permute_rows
 from .laurent import LaurentPolynomial
 from .mutation import (
+    _permutation_group,
+    _permute_rows,
     _pos,
     bipartite_matrix_from_cartan,
     cartan_counterpart_and_sign,
@@ -373,26 +374,6 @@ def _belt_primitive_map(U):
     return assign
 
 
-def _group_order(gens, n):
-    """Order of the group of permutations of range(n) generated by gens.
-    A generator already in the group is skipped, so the closure is redone
-    at most log2(n!) times."""
-    group = [tuple(range(n))]
-    members = set(group)
-    used = []
-    for g in gens:
-        if g not in members:
-            used.append(g)
-            # the loop reaches each element as it is appended
-            for p in group:
-                for s in used:
-                    q = tuple(p[i] for i in s)
-                    if q not in members:
-                        members.add(q)
-                        group.append(q)
-    return len(group)
-
-
 def specialization_construct(U, target="principal"):
     """Unique multiplicative map p[coroot] -> target coefficient, checked
     on every pair (universal Y-seed, target Y-seed) reachable by mutation.
@@ -467,7 +448,7 @@ def specialization_construct(U, target="principal"):
                 violations.append(("phi(y+1)", j + 1, y.text()))
     if violations:
         raise VerificationFailure("specialization checks failed: %r" % violations[:3])
-    seeds = len(vertices) * _group_order(sorted(relabelings), n)
+    seeds = len(vertices) * len(_permutation_group(sorted(relabelings), n))
     return {
         "phi": {U["gen_names"][gi]: phi[gi] for gi in phi},
         "target": target,

@@ -606,6 +606,23 @@ def _fingerprint(p):
     return s % _P61
 
 
+def _monomial_normal(num, den):
+    """num / den with their common monomial content removed, and a monomial
+    denominator of coefficient +-1 folded into the numerator."""
+    shift = tuple(
+        -min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents())
+    )
+    if any(shift):
+        num = num.shift(shift)
+        den = den.shift(shift)
+    if den.is_monomial():
+        (e, c), = den.terms.items()
+        if c in (1, -1) and any(e):
+            num = num.shift(tuple(-a for a in e)) * c
+            den = LaurentPolynomial.const(num.vars, 1)
+    return num, den
+
+
 class RationalExpression:
     """Quotient of Laurent polynomials; equality via cross-multiplication.
 
@@ -640,19 +657,7 @@ class RationalExpression:
             return RationalExpression(
                 num, LaurentPolynomial.const(num.vars, 1), self.factor_hints
             )
-        # monomial content
-        shift = tuple(
-            -min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents())
-        )
-        if any(shift):
-            num = num.shift(shift)
-            den = den.shift(shift)
-        # pure-monomial denominator: fold into numerator exponents
-        if den.is_monomial():
-            (e, c), = den.terms.items()
-            if c in (1, -1) and any(e):
-                num = num.shift(tuple(-a for a in e)) * c
-                den = LaurentPolynomial.const(num.vars, 1)
+        num, den = _monomial_normal(num, den)
         # integer content
         g = 0
         for c in num.terms.values():
@@ -662,17 +667,22 @@ class RationalExpression:
         if g > 1:
             num = LaurentPolynomial(num.vars, {e: c // g for e, c in num.terms.items()})
             den = LaurentPolynomial(den.vars, {e: c // g for e, c in den.terms.items()})
-        # hint trial-division
-        changed = True
+        # hint trial-division, one exact division attempt per trial; a
+        # quotient may leave monomial content or a monomial denominator
+        divided, changed = False, True
         while changed:
             changed = False
             for h in self.factor_hints:
                 if h.vars != num.vars or h.is_monomial():
                     continue
-                while (not den.is_one()) and lp_divides(h, num) and lp_divides(h, den):
-                    num = lp_exact_div(num, h)
-                    den = lp_exact_div(den, h)
-                    changed = True
+                while not den.is_one():
+                    try:
+                        num, den = lp_exact_div(num, h), lp_exact_div(den, h)
+                    except NonExactDivision:
+                        break
+                    changed = divided = True
+        if divided:
+            num, den = _monomial_normal(num, den)
         return RationalExpression(num, den, self.factor_hints)
 
     def _hints(self, other):

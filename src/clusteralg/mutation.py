@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, itemgetter, neg
 
 from .laurent import LaurentPolynomial, lp_exact_div, lp_exchange_monomials
 
@@ -162,6 +162,36 @@ def mutate_matrix(M, k):
         out.append(tuple(map(add, row, inc)))
     out[kk] = tuple(map(neg, rowk))
     return tuple(out)
+
+
+def _permute_rows(Bt, n, sigma):
+    """Bt under a relabeling sigma (tuple: new index -> old index) of its
+    first n rows and of its columns."""
+    if n == 1:  # itemgetter of one index gives the entry, not a tuple
+        return tuple(Bt)
+    rows = [Bt[i] for i in sigma]
+    rows += Bt[n:]
+    return tuple(map(itemgetter(*sigma), rows))
+
+
+def _permutation_group(gens, n):
+    """The set of permutations of range(n) in the group generated by gens.
+    A generator already in the group is skipped, so the closure is redone
+    at most log2(n!) times."""
+    group = [tuple(range(n))]
+    members = set(group)
+    used = []
+    for g in gens:
+        if g not in members:
+            used.append(g)
+            # the loop reaches each element as it is appended
+            for p in group:
+                for s in used:
+                    q = tuple(p[i] for i in s)
+                    if q not in members:
+                        members.add(q)
+                        group.append(q)
+    return members
 
 
 def exchanged_d_vector(d, col, k):

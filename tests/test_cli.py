@@ -111,6 +111,13 @@ def test_ysystem_command(run_cli):
     assert "y[1;3]" in out.stdout
 
 
+def test_ysystem_folds_a_monomial_denominator_left_by_hint_division(run_cli):
+    out = run_cli("ysystem", "--type", "A4", "--steps", "8").stdout
+    assert "y[3;7] = u2\n" in out
+    assert "y[3;5] = u1*u2^-1*u3 + u1*u2^-1 + u2^-1*u3 + u2^-1\n" in out
+    assert " / " not in out
+
+
 def test_universal_and_specialize(run_cli):
     out = run_cli("universal", "--type", "A2").stdout
     assert "p[a1+a2]" in out

@@ -21,6 +21,7 @@ from clusteralg.finite_type import (
 )
 from clusteralg.laurent import lp_canonical_text
 from clusteralg.mutation import (
+    _permutation_group,
     CARTAN,
     LabeledYSeed,
     mutate_matrix,
@@ -310,10 +311,10 @@ def test_specialization_refuses_a_swapped_primitive_map(monkeypatch, target):
 
 
 def test_relabeling_group_order():
-    assert finite_type._group_order([], 3) == 1
-    assert finite_type._group_order([(1, 0, 2)], 3) == 2
-    assert finite_type._group_order([(1, 0, 2), (0, 2, 1)], 3) == 6
-    assert finite_type._group_order([(1, 2, 0), (2, 0, 1)], 3) == 3
+    assert _permutation_group([], 3) == {(0, 1, 2)}
+    assert len(_permutation_group([(1, 0, 2)], 3)) == 2
+    assert len(_permutation_group([(1, 0, 2), (0, 2, 1)], 3)) == 6
+    assert len(_permutation_group([(1, 2, 0), (2, 0, 1)], 3)) == 3
 
 
 @pytest.mark.slow

@@ -352,9 +352,12 @@ def test_simplify_uses_factor_hints():
     x = LaurentPolynomial.var(VARS, "x")
     y = LaurentPolynomial.var(VARS, "y")
     h = x + one
+    # no common factor is found without the hint
+    assert RationalExpression(h * h * y, h * x).simplify().den == h * x
+    # with it h cancels, and the monomial denominator x it leaves is folded
     r = RationalExpression(h * h * y, h * x, factor_hints=(h,))
     s = r.simplify()
-    assert s.num == h * y and s.den == x
+    assert s.num == lp_parse("y + x^-1*y", VARS) and s.den.is_one()
 
 
 @given(polys)

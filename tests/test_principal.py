@@ -1,5 +1,6 @@
 """Principal-coefficient patterns, separation, and the property audit."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -409,8 +410,122 @@ def test_conjecture_suite_runs_each_transition_once(monkeypatch, name, calls):
         return transition(pat0, pat1, k, path, ell)
 
     monkeypatch.setattr(principal, "_g_transition", counting)
-    conjecture_suite(named_matrix(name))
+    principal._labeled_suite(named_matrix(name))
     assert len(seen) == calls
+
+
+# the class route: one seed per relabeling class, counts times |G|
+CLASSES = {
+    "A1": (2, 1), "A1xA1": (4, 1), "A2": (5, 2), "A3": (14, 6), "A4": (42, 24),
+    "B2": (6, 1), "B3": (20, 2), "C3": (20, 2), "D4": (50, 24), "G2": (8, 1),
+}
+
+
+def _classes(B, pat=None):
+    """(representative paths, |G|) of the class walk of B's suite."""
+    pat = pat if pat is not None else PrincipalPattern(B)
+    negpat, mutated = principal._suite_patterns(pat, True)
+    return principal._relabeling_classes(pat, negpat, mutated, 10 ** 6)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_the_class_walk_finds_each_class_and_the_relabeling_group(name):
+    reps, order = _classes(named_matrix(name))
+    assert (len(reps), order) == CLASSES[name]
+
+
+@pytest.mark.parametrize("transitions", [True, False])
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_the_class_route_equals_the_labeled_route(name, transitions):
+    B = named_matrix(name)
+    report = principal._class_suite(B, 10 ** 6, transitions)
+    assert report is not None and report["complete"]
+    labeled = principal._labeled_suite(B, 10 ** 6, transition_checks=transitions)
+    assert json.dumps(report) == json.dumps(labeled)
+    assert conjecture_suite(B, 10 ** 6, transition_checks=transitions) == report
+
+
+def test_the_class_route_runs_up_to_the_labeled_seed_count():
+    # A4: 42 classes, |G| = 24, 1,008 labeled seeds
+    A4 = named_matrix("A4")
+    assert principal._class_suite(A4, 1008, True)["seeds"] == 1008
+    assert principal._class_suite(A4, 1007, True) is None
+    report = conjecture_suite(A4, max_seeds=500)
+    assert not report["complete"] and report["seeds"] == 500
+    assert report == suite_reference(A4, max_seeds=500)
+
+
+def test_a_violation_falls_back_to_the_labeled_route(monkeypatch):
+    B = named_matrix("A3")
+    bad_f = PrincipalPattern(B).state((2,)).F[1]
+    dominating = principal._dominating_term
+    labeled = principal._labeled_suite
+    routes = []
+
+    def failing_dominating(F):
+        return None if F == bad_f else dominating(F)
+
+    def recorded(*args):
+        routes.append(args)
+        return labeled(*args)
+
+    monkeypatch.setattr(principal, "_dominating_term", failing_dominating)
+    monkeypatch.setattr(principal, "_labeled_suite", recorded)
+    assert principal._class_suite(B, 10 ** 6, True) is None
+    report = conjecture_suite(B, max_seeds=10 ** 6)
+    assert len(routes) == 1
+    assert report == suite_reference(B, max_seeds=10 ** 6)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(checks["f_unique_dominating_monomial"]["violations"]) > 1
+
+
+def test_a_revisit_off_the_relabeling_raises(monkeypatch):
+    # each mu_k(B0) pattern read at the unmutated path: not equivariant
+    monkeypatch.setattr(principal, "_mutated_path", lambda k, path: path)
+    with pytest.raises(CrossCheckFailure, match=r"path=\[.*\] relabeled by \("):
+        _classes(named_matrix("A3"))
+
+
+def test_a_cluster_with_two_equal_g_vectors_raises():
+    pat = PrincipalPattern(A2)
+    pat._states[()] = pat._states[()]._replace(g=((1, 0), (1, 0)))
+    with pytest.raises(CrossCheckFailure, match="repeats a g-vector"):
+        _classes(A2, pat=pat)
+
+
+def test_the_class_route_steps_once_per_class_and_direction(monkeypatch):
+    # A4 and D4: 92 classes walked in three patterns' worth of directions
+    # each, against 14,787 labeled steps; the recorded relations and their
+    # g recurrences are the labeled route's 470 and 940
+    calls = {"step": 0, "exchange": 0, "g_recurrence": 0, "g_transition": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(PrincipalPattern, "_step", counting("step", PrincipalPattern._step))
+    monkeypatch.setattr(
+        PrincipalPattern, "_exchange", counting("exchange", PrincipalPattern._exchange)
+    )
+    monkeypatch.setattr(
+        principal, "g_recurrence", counting("g_recurrence", principal.g_recurrence)
+    )
+    monkeypatch.setattr(
+        principal, "_g_transition", counting("g_transition", principal._g_transition)
+    )
+    for name in ("A4", "D4"):
+        assert conjecture_suite(named_matrix(name), max_seeds=10 ** 6)["complete"]
+    assert calls == {"step": 2113, "exchange": 470, "g_recurrence": 940, "g_transition": 120}
+
+
+@pytest.mark.slow
+def test_the_e6_audit_completes_on_one_seed_per_class():
+    report = conjecture_suite(named_matrix("E6"), max_seeds=600000)
+    assert report["complete"] and report["seeds"] == 599760
+    assert all(c["violations"] == [] for c in report["checks"])
 
 
 def test_pattern_keeps_one_object_per_cluster_variable():
@@ -436,7 +551,7 @@ def test_exchange_table_divides_each_relation_once(monkeypatch):
         return divide(p, q)
 
     monkeypatch.setattr(principal, "lp_exact_div", counting)
-    conjecture_suite(named_matrix("A3"))
+    principal._labeled_suite(named_matrix("A3"))
     assert len(calls) == 120
 
 
@@ -636,7 +751,7 @@ def test_the_g_recurrence_runs_twice_per_recorded_relation(monkeypatch):
         principal, "g_recurrence", counting("g_recurrence", principal.g_recurrence)
     )
     for name in ("A4", "D4"):
-        assert conjecture_suite(named_matrix(name), max_seeds=10 ** 6)["complete"]
+        assert principal._labeled_suite(named_matrix(name), max_seeds=10 ** 6)["complete"]
     assert calls == {"step": 14787, "exchange": 470, "g_recurrence": 940}
 
 
