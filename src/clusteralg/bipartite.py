@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-from .laurent import LaurentPolynomial, RationalExpression, lp_denominator_vector
+from .laurent import (
+    _P61,
+    LaurentPolynomial,
+    RationalExpression,
+    _fingerprint,
+    lp_denominator_vector,
+    lp_substitute_monomial,
+)
 from .mutation import (
     _pos,
+    bipartite_matrix_from_cartan,
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     matrix,
@@ -17,6 +25,7 @@ from .principal import (
     g_mutation_rule,
     seed_signature,
 )
+from .semifield import UniversalSemifield
 
 
 class NotBipartite(ValueError):
@@ -261,26 +270,27 @@ def y_system_solve(A, S, steps, initial="u", initial_values=None, eps=None):
 
     Tracked values: y_{i;m} with eps(i) = (-1)^(m-1).  Initial data is the
     u-tuple (u_i = y_{i;-1} for eps(i)=+1, u_i = y_{i;0} for eps(i)=-1) or
-    the y0-tuple (u_i = y_i^{-1} for eps(i)=+1, y_i otherwise).
+    the y0-tuple (u_i = y_i^{-1} for eps(i)=+1, y_i otherwise).  In a
+    UniversalSemifield the values are read off the belt (`_belt_y_values`).
     """
     A = matrix(A)
     n = len(A)
     if eps is None:
         eps = bipartite_sign_from_cartan(A)
+    if initial not in ("u", "y"):
+        raise ValueError("initial must be 'u' or 'y'")
     if initial_values is None:
         initial_values = [S.generator("u%d" % (i + 1)) for i in range(n)]
     vals = {}
     for i in range(n):
         v = initial_values[i]
-        if initial == "y":
-            if eps[i] == 1:
-                v = S.inverse(v)
-        elif initial != "u":
-            raise ValueError("initial must be 'u' or 'y'")
         if eps[i] == 1:
-            vals[(i + 1, -1)] = v
+            vals[(i + 1, -1)] = S.inverse(v) if initial == "y" else v
         else:
             vals[(i + 1, 0)] = v
+    if isinstance(S, UniversalSemifield):
+        _belt_y_values(A, eps, steps, vals)
+        return vals
     for m in range(0, steps):
         for i in tracked(eps, m):
             prod = S.one()
@@ -289,15 +299,51 @@ def y_system_solve(A, S, steps, initial="u", initial_values=None, eps=None):
                     w = S.oplus(vals[(j + 1, m)], S.one())
                     prod = S.mul(prod, S.power(w, -A[j][i]))
             vals[(i + 1, m + 1)] = S.div(prod, vals[(i + 1, m - 1)])
-            # grow factor hints for gcd-free simplification downstream
-            v = vals[(i + 1, m + 1)]
-            if isinstance(v, RationalExpression):
-                hints = list(v.factor_hints)
-                for cand in (v.num, v.den):
-                    if len(cand.terms) > 1 and cand not in hints:
-                        hints.append(cand)
-                vals[(i + 1, m + 1)] = RationalExpression(v.num, v.den, hints)
     return vals
+
+
+def _unit_monomial(v):
+    """The exponents of v = num / den, a Laurent monomial of coefficient 1."""
+    if v.num.is_monomial() and v.den.is_monomial():
+        ((e, c),), ((f, d),) = v.num.terms.items(), v.den.terms.items()
+        if c == d:
+            return tuple(a - b for a, b in zip(e, f))
+    raise ValueError("initial value is not a Laurent monomial of coefficient 1")
+
+
+def _belt_y_values(A, eps, steps, vals):
+    """Add y_{j;m}, 0 < m <= steps, to vals, which holds the initial values:
+    the belt's Y_{j;m} = y^{c_j} prod_i F_i^{b_ij} (FZ IV Prop. 3.13; they
+    solve the Y-system, section 8) with y_i -> y_{i;-1}^{-1} (eps(i) = +1)
+    or y_{i;0} (eps(i) = -1), the belt's own initial coefficients.
+
+    Each value is checked by the recurrence y_{j;m-2} y_{j;m} =
+    prod_i (y_{i;m-1} + 1)^{-a_ij}, cross-multiplied, modulo 2^61 - 1 at
+    the point `laurent._fingerprint` uses: a wrong value passes only if the
+    difference of the two sides vanishes there (Schwartz-Zippel)."""
+    belt = Belt(bipartite_matrix_from_cartan(A, eps))
+    if belt.A != A or belt.eps != tuple(eps):
+        raise ValueError("eps is not the bipartite sign of the belt of A")
+    mapping, fps = {}, {}
+    for (i, m), v in vals.items():
+        e = [-a if m == -1 else a for a in _unit_monomial(v)]
+        mapping[belt.pattern.yvars[i - 1]] = LaurentPolynomial.monomial(v.vars, e)
+        fps[(i, m)] = (_fingerprint(v.num), _fingerprint(v.den))
+    for m in range(1, steps + 1):
+        for j in tracked(eps, m - 1):
+            y = belt.y_universal(j + 1, m)
+            num, den = (lp_substitute_monomial(p, mapping) for p in (y.num, y.den))
+            v = vals[(j + 1, m)] = RationalExpression(num, den).simplify()
+            fp = fps[(j + 1, m)] = (_fingerprint(v.num), _fingerprint(v.den))
+            left, right = fps[(j + 1, m - 2)]
+            left, right = left * fp[0], right * fp[1]
+            for i, row in enumerate(A):
+                if i != j and row[j]:
+                    N, D = fps[(i + 1, m - 1)]
+                    left = left * pow(D, -row[j], _P61) % _P61
+                    right = right * pow(N + D, -row[j], _P61) % _P61
+            if left % _P61 != right % _P61:
+                raise CrossCheckFailure("y-system fails at (%d;%d)" % (j + 1, m))
 
 
 def periodicity_check(B, mode="seeds", cap=40):

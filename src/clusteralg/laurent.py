@@ -606,46 +606,29 @@ def _fingerprint(p):
     return s % _P61
 
 
-def _monomial_normal(num, den):
-    """num / den with their common monomial content removed, and a monomial
-    denominator of coefficient +-1 folded into the numerator."""
-    shift = tuple(
-        -min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents())
-    )
-    if any(shift):
-        num = num.shift(shift)
-        den = den.shift(shift)
-    if den.is_monomial():
-        (e, c), = den.terms.items()
-        if c in (1, -1) and any(e):
-            num = num.shift(tuple(-a for a in e)) * c
-            den = LaurentPolynomial.const(num.vars, 1)
-    return num, den
-
-
 class RationalExpression:
     """Quotient of Laurent polynomials; equality via cross-multiplication.
 
     Normalization is deliberately gcd-free: we strip common monomial and
-    integer content and trial-divide by any supplied factor hints.  So the
-    hash is not taken from the normalized pair, which equal values need not
-    share, but from num * den^-1 at a fixed point modulo 2^61 - 1 (Schwartz
-    1980), one constant where den vanishes there.  Equal values hash alike
-    unless a common factor of num and den vanishes at the point.
+    integer content and fold a monomial denominator of coefficient +-1 into
+    the numerator.  So the hash is not taken from the normalized pair, which
+    equal values need not share, but from num * den^-1 at a fixed point
+    modulo 2^61 - 1 (Schwartz 1980), one constant where den vanishes there.
+    Equal values hash alike unless a common factor of num and den vanishes
+    at the point.
     """
 
-    __slots__ = ("num", "den", "factor_hints")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den, factor_hints=()):
+    def __init__(self, num, den):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
-        self.factor_hints = tuple(factor_hints)
 
     @classmethod
-    def from_poly(cls, p, hints=()):
-        return cls(p, LaurentPolynomial.const(p.vars, 1), hints)
+    def from_poly(cls, p):
+        return cls(p, LaurentPolynomial.const(p.vars, 1))
 
     @property
     def vars(self):
@@ -654,10 +637,18 @@ class RationalExpression:
     def simplify(self):
         num, den = self.num, self.den
         if num.is_zero():
-            return RationalExpression(
-                num, LaurentPolynomial.const(num.vars, 1), self.factor_hints
-            )
-        num, den = _monomial_normal(num, den)
+            return RationalExpression.from_poly(num)
+        shift = tuple(
+            -min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents())
+        )
+        if any(shift):
+            num = num.shift(shift)
+            den = den.shift(shift)
+        if den.is_monomial():
+            (e, c), = den.terms.items()
+            if c in (1, -1) and any(e):
+                num = num.shift(tuple(-a for a in e)) * c
+                den = LaurentPolynomial.const(num.vars, 1)
         # integer content
         g = 0
         for c in num.terms.values():
@@ -667,37 +658,12 @@ class RationalExpression:
         if g > 1:
             num = LaurentPolynomial(num.vars, {e: c // g for e, c in num.terms.items()})
             den = LaurentPolynomial(den.vars, {e: c // g for e, c in den.terms.items()})
-        # hint trial-division, one exact division attempt per trial; a
-        # quotient may leave monomial content or a monomial denominator
-        divided, changed = False, True
-        while changed:
-            changed = False
-            for h in self.factor_hints:
-                if h.vars != num.vars or h.is_monomial():
-                    continue
-                while not den.is_one():
-                    try:
-                        num, den = lp_exact_div(num, h), lp_exact_div(den, h)
-                    except NonExactDivision:
-                        break
-                    changed = divided = True
-        if divided:
-            num, den = _monomial_normal(num, den)
-        return RationalExpression(num, den, self.factor_hints)
-
-    def _hints(self, other):
-        hints = list(self.factor_hints)
-        for h in getattr(other, "factor_hints", ()):
-            if h not in hints:
-                hints.append(h)
-        return hints
+        return RationalExpression(num, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPolynomial)):
             other = _coerce(other, self.vars)
-        return RationalExpression(
-            self.num * other.num, self.den * other.den, self._hints(other)
-        ).simplify()
+        return RationalExpression(self.num * other.num, self.den * other.den).simplify()
 
     __rmul__ = __mul__
 
@@ -706,9 +672,7 @@ class RationalExpression:
             other = _coerce(other, self.vars)
         if other.num.is_zero():
             raise ZeroDivisionError
-        return RationalExpression(
-            self.num * other.den, self.den * other.num, self._hints(other)
-        ).simplify()
+        return RationalExpression(self.num * other.den, self.den * other.num).simplify()
 
     def __add__(self, other):
         if isinstance(other, (int, LaurentPolynomial)):
@@ -716,7 +680,6 @@ class RationalExpression:
         return RationalExpression(
             self.num * other.den + other.num * self.den,
             self.den * other.den,
-            self._hints(other),
         ).simplify()
 
     __radd__ = __add__
@@ -727,18 +690,17 @@ class RationalExpression:
         return RationalExpression(
             self.num * other.den - other.num * self.den,
             self.den * other.den,
-            self._hints(other),
         ).simplify()
 
     def inverse(self):
         if self.num.is_zero():
             raise ZeroDivisionError
-        return RationalExpression(self.den, self.num, self.factor_hints).simplify()
+        return RationalExpression(self.den, self.num).simplify()
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        return RationalExpression(self.num ** k, self.den ** k, self.factor_hints)
+        return RationalExpression(self.num ** k, self.den ** k)
 
     def __eq__(self, other):
         # only another RationalExpression: an int or a LaurentPolynomial

@@ -25,6 +25,7 @@ def recurrence_d_vectors(pat, path):
     """The d-vectors of the cluster at each vertex of path, the root first,
     by the max-recurrence: one exchanged_d_vector call per step, on the
     column of the pattern's matrix at the vertex before it."""
+    pat.state(path)  # a direction above the rank fails here, not on a column
     n = pat.n
     d = tuple(tuple(-1 if i == l else 0 for i in range(n)) for l in range(n))
     yield d

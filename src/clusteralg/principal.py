@@ -273,26 +273,15 @@ class PrincipalPattern:
 
     def y_value(self, path, j):
         """Y_j = y^{c_j} prod_i F_i^{b_ij} at the end of path, in the
-        universal semifield: a RationalExpression whose factor hints are
-        the F_i other than 1."""
+        universal semifield (FZ IV Prop. 3.13): the RationalExpression of
+        the factors with positive exponent over the others, unreduced."""
         st = self.state(path)
-        num = den = self._one_y
-        for c, yv in zip(st.c_vector(j), self._y):
-            if c > 0:
-                num = num * yv ** c
-            elif c < 0:
-                den = den * yv ** (-c)
-        hints = []
-        # zip stops after the n mutable rows of Btilde
-        for row, F in zip(st.Btilde, st.F):
-            b = row[j - 1]
-            if b > 0:
-                num = num * F ** b
-            elif b < 0:
-                den = den * F ** (-b)
-            if not F.is_one():
-                hints.append(F)
-        return RationalExpression(num, den, hints)
+        n = self.n
+        col = [row[j - 1] for row in st.Btilde]
+        num, den = lp_exchange_monomials(
+            zip(self._y + st.F, col[n:] + col[:n]), self.yvars
+        )
+        return RationalExpression(num, den)
 
     def y_hat(self, path):
         """The hatted coefficients at the vertex: monomials in x and y."""

@@ -25,7 +25,7 @@ from clusteralg.bipartite import (
     tracked,
     y_system_solve,
 )
-from clusteralg.laurent import lp_denominator_vector, lp_parse
+from clusteralg.laurent import RationalExpression, lp_denominator_vector, lp_parse
 from clusteralg.mutation import (
     CARTAN,
     NotSkewSymmetrizable,
@@ -575,3 +575,88 @@ def test_not_bipartite_rejected():
 def test_belt_recurrence_rejects_a_matrix_that_is_not_skew_symmetrizable():
     with pytest.raises(NotSkewSymmetrizable):
         belt_f_recurrence(((0, -3), (0, 0)), 2)
+
+
+# -- the universal Y-system read off the belt -----------------------------
+
+
+def _ysystem_cases():
+    """(A, steps, period or None): the finite types but E6 at 2(h+2)+2
+    steps, and rank 2 at 8 (too few to reach a period)."""
+    for name in FINITE_BELT_TYPES:
+        if name == "E6":
+            continue
+        A = cartan_counterpart_and_sign(named_matrix(name))[0]
+        period = 2 * (coxeter_data(A)["h"] + 2)
+        yield pytest.param(A, period + 2, period, id=name)
+    for b, c in ((1, 1), (2, 2), (1, 3), (2, 1)):
+        yield pytest.param(((2, -b), (-c, 2)), 8, None, id="rank2-%d,%d" % (b, c))
+
+
+@pytest.mark.parametrize("initial", ["u", "y"])
+@pytest.mark.parametrize("A, steps, period", list(_ysystem_cases()))
+def test_universal_y_system_satisfies_its_recurrence_exactly(A, steps, period, initial):
+    U = UniversalSemifield(tuple("u%d" % (i + 1) for i in range(len(A))))
+    vals = y_system_solve(A, U, steps=steps, initial=initial)
+    for (i, m) in vals:
+        if (i, m + 2) not in vals:
+            continue
+        rhs = U.one()
+        for j in range(len(A)):
+            if j != i - 1 and A[j][i - 1]:
+                rhs = rhs * U.power(U.oplus(vals[(j + 1, m + 1)], U.one()), -A[j][i - 1])
+        assert vals[(i, m)] * vals[(i, m + 2)] == rhs, (i, m + 1)
+    if period is not None:
+        for (i, m), v in vals.items():
+            if (i, m + period) in vals:
+                assert vals[(i, m + period)] == v, (i, m)
+
+
+def test_a_wrong_belt_y_value_fails_the_y_system_check(monkeypatch):
+    real = Belt.y_universal
+
+    def wrong(self, j, m):
+        y = real(self, j, m)
+        if (j, m) == (2, 4):
+            return y * y
+        return y
+
+    monkeypatch.setattr(Belt, "y_universal", wrong)
+    U = UniversalSemifield(("u1", "u2"))
+    with pytest.raises(CrossCheckFailure, match=r"at \(2;4\)$"):
+        y_system_solve(CARTAN["B2"], U, steps=6)
+
+
+@pytest.mark.parametrize(
+    "A, eps",
+    [(CARTAN["A1xA1"], (1, -1)), (A2_CARTAN, (1, 1))],
+    ids=["isolated-minus", "not-a-coloring"],
+)
+def test_a_sign_that_is_not_the_belts_is_refused(A, eps):
+    U = UniversalSemifield(("u1", "u2"))
+    with pytest.raises(ValueError):
+        y_system_solve(A, U, steps=4, eps=eps)
+
+
+@pytest.mark.parametrize("first", ["u1 + 1", "2*u1", "0"])
+def test_a_universal_initial_value_that_is_not_a_monomial_is_refused(first):
+    U = UniversalSemifield(("u1", "u2"))
+    u1 = RationalExpression.from_poly(lp_parse(first, U.gens))
+    with pytest.raises(ValueError, match="not a Laurent monomial"):
+        y_system_solve(A2_CARTAN, U, steps=4, initial_values=[u1, U.generator("u2")])
+
+
+def test_universal_initial_values_may_be_any_unit_monomials():
+    # unit monomials written as quotients, u1^2 u2^-1 and u1^-1 u2, enter
+    # the check as given; on B2 its exponents -a_ij and -a_ji differ
+    U = UniversalSemifield(("u1", "u2"))
+    A = CARTAN["B2"]
+
+    def quotient(num, den):
+        return RationalExpression(lp_parse(num, U.gens), lp_parse(den, U.gens))
+
+    init = [quotient("2*u1^3", "2*u1*u2"), quotient("-u1", "-u1^2*u2^-1")]
+    vals = y_system_solve(A, U, steps=3, initial_values=init)
+    y11 = U.div(U.power(U.oplus(init[1], U.one()), -A[1][0]), init[0])
+    assert vals[(1, 1)] == y11
+    assert vals[(2, 2)] == U.div(U.power(U.oplus(y11, U.one()), -A[0][1]), init[1])

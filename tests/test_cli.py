@@ -118,6 +118,61 @@ def test_ysystem_folds_a_monomial_denominator_left_by_hint_division(run_cli):
     assert " / " not in out
 
 
+# sha256 of `cluster ysystem` stdout, captured from the direct recurrence
+# on gcd-free rational expressions that the belt route replaced: the finite
+# types at 2(h+2)+2 steps, E6 at 30, and rank 2 at 10
+YSYSTEM_DIGESTS = {
+    "--type A1 10 u": "cdc3f68f337f557261568054636c1acafca778e90a901c00ca6c92d2e6ddc691",
+    "--type A1 10 y": "7b39740ba26d2d288daa9f8c118367fa1885047c77f76704ab44520b6ac3ddd0",
+    "--type A1xA1 10 u": "73f788e11b11185157c72e063775c91a3c2f8fc0148d3a598bad4413400f42c8",
+    "--type A1xA1 10 y": "aa76d4c18343e1ddeff6e1ed581633e580a032dc1920605213e79f1e33d6bde7",
+    "--type A2 12 u": "8e0bb8fc424b4673307951490debd551cf745b41d7fc76fde5a44de6d38eba1d",
+    "--type A2 12 y": "aaa6d4de23e4014075afa13b6665b17d9f66305ed945ceeaa393e25a98695ba1",
+    "--type A3 14 u": "689004e89c63b243cf90d71482e58318078f634fc3915751a8e4feb081c31487",
+    "--type A3 14 y": "0e51f90a42898c24feac47dcc9a8c21ec5d8d3228ca5cbd270e5d759f22cb808",
+    "--type A4 16 u": "94f568985f3a706ba69a7a67bb7e925a5bd8fda992bb5791c7b7fda2d422503e",
+    "--type A4 16 y": "9ab37df55407f76862e3191d3d13b7b56aa1871cdc4c77e419199c8eb11f894a",
+    "--type B2 14 u": "76c9d88aab5d559423da7e7bb8a01bbd140f230e84b5f9fe2ec079f823d8b5e5",
+    "--type B2 14 y": "ed3b71afaafbbd02d5e1acda2162f0414b787ba34ec004190f0eb17dc26c6762",
+    "--type B3 18 u": "a729194a94c7e20e6ffcf8fbb6eb00b5103a86adffca16fd272a7459983399c6",
+    "--type B3 18 y": "759bc2505338f8b32572407e4c3b5fc2612e7ab89b69b246bc43dc479f2246ab",
+    "--type C3 18 u": "2122a1d09517013216c681658292e273cd2aeb381d0b990d42b415614084a33e",
+    "--type C3 18 y": "48a5496ee1fbffe2583f35033f68c0dc3619a9f3433e4f1a73c222f11728d140",
+    "--type D4 18 u": "cc169ad83702bffa57425bb4436aaf1b4f43858b5670d1fe5f2cb6a29152a985",
+    "--type D4 18 y": "253fb1b071324e03ee5a3708e0fda669b6424605da55a9ad39bad3c5a56e0026",
+    "--type G2 18 u": "a5e5be0de2e90157acd1ed8230fc4052411264c3d5b43d5c6c709539580104ff",
+    "--type G2 18 y": "02865dc1ec891501ff17cceea35c095ea58106a7d013ce7d030dda1bb6bb9890",
+    "--type E6 30 u": "acfb37cfacbb0874c66186bbd5f6c6d165e0e4028c7f0b5a9434f6aed0fd6666",
+    "--rank2 2,2 10 u": "f96b931ce4495d55dfd67a0e9d7ff956c3aaa5ad2fff6a8123460981140e79d1",
+    "--rank2 2,2 10 y": "3fa27c740a26e745963f825bcdb5a67a7426fd27204ac1a623bf0b5bc9d4e01e",
+    "--rank2 1,4 10 u": "87235fa99e35851191c0a4d539dfbd8691ebd84fd821149c0131eef399ef91fc",
+    "--rank2 1,4 10 y": "8b566e34999baa4c24d3b522769b7da7e2f90304a9c155e404e15ee2c3fb9fef",
+}
+
+
+def _ysystem_digest(run_cli, flag, name, steps, initial):
+    out = run_cli("ysystem", flag, name, "--steps", steps, "--initial", initial)
+    return hashlib.sha256(out.stdout.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(YSYSTEM_DIGESTS))
+def test_ysystem_output_is_pinned(run_cli, case):
+    assert _ysystem_digest(run_cli, *case.split()) == YSYSTEM_DIGESTS[case]
+
+
+@pytest.mark.slow
+def test_e7_ysystem_output_is_pinned_over_a_period(run_cli):
+    # six steps pinned from the direct recurrence, which took 10-16 s for
+    # them and did not finish ten in 15 minutes; the full period from the
+    # belt route, whose every value passed the y-system check
+    assert _ysystem_digest(run_cli, "--type", "E7", "6", "u") == (
+        "41a6abc039728eae59402df841acf4ebc28dd7d94d2f0c549a5e8f6d2ceffb27"
+    )
+    assert _ysystem_digest(run_cli, "--type", "E7", "40", "u") == (
+        "6624e0686728401b35d41288d80e6cd11043c57852ed93704f58194463b0462e"
+    )
+
+
 def test_universal_and_specialize(run_cli):
     out = run_cli("universal", "--type", "A2").stdout
     assert "p[a1+a2]" in out
@@ -330,6 +385,21 @@ def test_mutate_direction_above_rank_is_a_usage_error(run_cli, tmp_path):
     _assert_one_line_usage_error(
         run_cli("mutate", "--matrix", str(src), "--path", "3", check=False)
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("walk", "--type", "A2", "--path", "1,3"),
+        ("walk", "--type", "A1", "--path", "1,2,1,2"),
+        ("d-vector", "--type", "A2", "--path", "3"),
+        ("g-vector", "--type", "A2", "--path", "3"),
+        ("f-poly", "--type", "A2", "--path", "3"),
+    ],
+    ids=["walk", "walk-A1", "d-vector", "g-vector", "f-poly"],
+)
+def test_direction_above_rank_is_a_usage_error(run_cli, args):
+    _assert_one_line_usage_error(run_cli(*args, check=False))
 
 
 @pytest.mark.parametrize("rows", [[[0, 1], [-1]], []])

@@ -347,19 +347,6 @@ def test_rational_arithmetic():
     assert s == RationalExpression((x + one) ** 2 + y * y, y * (x + one))
 
 
-def test_simplify_uses_factor_hints():
-    one = LaurentPolynomial.const(VARS, 1)
-    x = LaurentPolynomial.var(VARS, "x")
-    y = LaurentPolynomial.var(VARS, "y")
-    h = x + one
-    # no common factor is found without the hint
-    assert RationalExpression(h * h * y, h * x).simplify().den == h * x
-    # with it h cancels, and the monomial denominator x it leaves is folded
-    r = RationalExpression(h * h * y, h * x, factor_hints=(h,))
-    s = r.simplify()
-    assert s.num == lp_parse("y + x^-1*y", VARS) and s.den.is_one()
-
-
 @given(polys)
 @settings(max_examples=50)
 def test_first_power_is_the_polynomial_itself(p):
