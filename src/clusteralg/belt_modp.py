@@ -38,7 +38,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul
 
-from .bipartite import orbit_vector, tau_action, tracked
+from .bipartite import initial_keys, orbit_vector, tau_action, tracked
 from .laurent import LaurentPolynomial
 from .mutation import _pos, mutate_matrix, principal_extension
 from .principal import CrossCheckFailure, g_recurrence
@@ -72,7 +72,7 @@ def _belt_degrees(A, eps, m_hi):
     - deg_r F(j;m-1)."""
     n = len(A)
     steps = []
-    box = {(i + 1, 0 if eps[i] == 1 else -1): (0,) * n for i in range(n)}
+    box = dict.fromkeys(initial_keys(eps), (0,) * n)
     for m in range(0, m_hi):
         for j in tracked(eps, m + 1):
             d = orbit_vector(A, eps, j, m - 1, tau_action)
@@ -95,7 +95,7 @@ def _belt_degrees(A, eps, m_hi):
 def _belt_values(steps, eps, point):
     """The exact value of every F in the table at a point of positive
     integers, from the recurrence."""
-    value = {(i + 1, 0 if e == 1 else -1): 1 for i, e in enumerate(eps)}
+    value = dict.fromkeys(initial_keys(eps), 1)
     for j, m, lo, hi, nbrs in steps:
         t1 = prod(z ** e for z, e in zip(point, lo))
         for i, k in nbrs:
@@ -189,10 +189,9 @@ def _table_mod_p(n, eps, steps, box, at_one, p):
     one = LaurentPolynomial.const(yvars, 1)
     table = {}
     vals = {}  # vertex -> (box, values) of its F in layer m or m - 1
-    for i in range(n):
-        key = (i + 1, 0 if eps[i] == 1 else -1)
+    for key in initial_keys(eps):
         table[key] = one
-        vals[i] = (need[key], [1] * prod(x + 1 for x in need[key]))
+        vals[key[0] - 1] = (need[key], [1] * prod(x + 1 for x in need[key]))
     for j, m, lo, hi, nbrs in steps:
         key = (j + 1, m + 1)
         b = need[key]

@@ -71,6 +71,13 @@ def tracked(eps, m):
     return tuple(i for i, e in enumerate(eps) if e == sign)
 
 
+def initial_keys(eps, lag=0):
+    """The keys (i + 1, m), m = -1 or 0, of the belt's initial values in
+    the order of i: the x_{i;m} at the i of tracked(eps, m), or with lag=1
+    the y_{i;m} at the i of tracked(eps, m - 1)."""
+    return sorted((i + 1, m) for m in (-1, 0) for i in tracked(eps, m - lag))
+
+
 def orbit_vector(A, eps, i, m, op=t_action):
     """alpha(i;m) (op=t_action) or d(i;m) (op=tau_action), 0-based i."""
     n = len(A)
@@ -282,12 +289,8 @@ def y_system_solve(A, S, steps, initial="u", initial_values=None, eps=None):
     if initial_values is None:
         initial_values = [S.generator("u%d" % (i + 1)) for i in range(n)]
     vals = {}
-    for i in range(n):
-        v = initial_values[i]
-        if eps[i] == 1:
-            vals[(i + 1, -1)] = S.inverse(v) if initial == "y" else v
-        else:
-            vals[(i + 1, 0)] = v
+    for key, v in zip(initial_keys(eps, lag=1), initial_values, strict=True):
+        vals[key] = S.inverse(v) if initial == "y" and key[1] == -1 else v
     if isinstance(S, UniversalSemifield):
         _belt_y_values(A, eps, steps, vals)
         return vals

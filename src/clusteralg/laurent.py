@@ -31,10 +31,11 @@ the remainder as a dict of packed keys plus a lazily pruned max-heap and
 unpacks only the quotient.
 
 When `terms` materializes.  `terms` of a packed polynomial is built on its
-first read (by `__getattr__`) and kept beside the packed form: equality,
+first read (by `__getattr__`) and kept beside the packed form: `==`,
 hashing, text, JSON, substitution, `min_exponents` and everything outside
-this kernel read it.  A polynomial built from a term dict has `terms` from
-the start and no packed form.
+this kernel read it; `lp_equal` compares packed keys instead.  A
+polynomial built from a term dict has `terms` from the start and no packed
+form.
 """
 
 from __future__ import annotations
@@ -124,6 +125,17 @@ def _frame(p):
         return pk[1], pk[2]
     base = p.min_exponents()
     return base, _top_degree(p, base)
+
+
+def _common_frame(a, b):
+    """(layout, base, top): a frame in which both a and b pack, base the
+    componentwise minimum of their bases and top a bound on both shifted
+    top degrees."""
+    ba, ta = _frame(a)
+    bb, tb = _frame(b)
+    base = tuple(map(min, ba, bb))
+    top = max(ta + sum(ba), tb + sum(bb)) - sum(base)
+    return _layout(len(base), top), base, top
 
 
 def _packed_items(p, layout, base):
@@ -245,11 +257,7 @@ class LaurentPolynomial:
             return LaurentPolynomial(self.vars, t)
         if b.is_zero():
             return a
-        ba, ta = _frame(a)
-        bb, tb = _frame(b)
-        base = tuple(map(min, ba, bb))
-        top = max(ta + sum(ba), tb + sum(bb)) - sum(base)
-        layout = _layout(len(base), top)
+        layout, base, top = _common_frame(a, b)
         t = _packed_items(a, layout, base)
         if t is a._packed[3]:
             t = dict(t)  # never write to a shared packed form
@@ -430,6 +438,20 @@ def lp_exact_div(p, q):
     return LaurentPolynomial._of(p.vars, layout.unpack(quot, offset))
 
 
+def lp_equal(p, q):
+    """p == q, compared on packed keys when p or q is packed: == reads
+    `terms`, which unpacks a packed operand."""
+    if p._packed is None and q._packed is None:
+        return p == q
+    if p.vars != q.vars:
+        return False
+    size_p, size_q = (len(r.terms) if r._packed is None else len(r._packed[3]) for r in (p, q))
+    if size_p != size_q:
+        return False
+    layout, base, _ = _common_frame(p, q)
+    return _packed_items(p, layout, base) == _packed_items(q, layout, base)
+
+
 def lp_exchange_monomials(factors, variables):
     """(prod v^b over the (v, b) in factors with b > 0, prod v^-b over those
     with b < 0); each product starts at its first factor other than the
@@ -597,11 +619,16 @@ def _fingerprint(p):
     if point is None:
         rng = random.Random(_P61)
         point = _HASH_POINTS[n] = tuple(rng.randrange(2, _P61) for _ in range(n))
+    # per coordinate, x^a for the exponents a met so far
+    powers = [{} for _ in point]
     s = 0
     for e, c in p.terms.items():
-        for x, a in zip(point, e):
+        for x, a, seen in zip(point, e, powers):
             if a:
-                c = c * pow(x, a, _P61) % _P61
+                xa = seen.get(a)
+                if xa is None:
+                    xa = seen[a] = pow(x, a, _P61)
+                c = c * xa % _P61
         s += c
     return s % _P61
 

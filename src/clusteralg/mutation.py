@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter, neg
 
-from .laurent import LaurentPolynomial, lp_exact_div, lp_exchange_monomials
+from .laurent import LaurentPolynomial, lp_equal, lp_exact_div, lp_exchange_monomials
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -240,13 +240,15 @@ def mutate_y(ys, k):
 class LabeledSeedGeometric:
     """Cluster of Laurent polynomials in m ambient variables + extended matrix.
 
-    A constructed seed is validated and starts a new exchange table;
-    mutate_seed_geometric hands it on to every seed it derives, so a seed
-    and its descendants make one division per exchangeable pair, mutation
-    being an involution (see mutate_seed_geometric).
+    A constructed seed is validated and starts a new exchange table, a
+    table of names, in which x_i and the d-vector -e_i name each other,
+    and a table of matrix rows.  mutate_seed_geometric hands all three on
+    to every seed it derives, so a seed and its descendants look each
+    exchangeable pair up once, hold one object per cluster variable and
+    one copy of each row (see mutate_seed_geometric).
     """
 
-    __slots__ = ("x", "Btilde", "n", "vars", "_exchanges")
+    __slots__ = ("x", "Btilde", "n", "vars", "_exchanges", "_names", "_rows")
 
     def __init__(self, x, Btilde, n, variables):
         self.x = tuple(x)
@@ -261,6 +263,12 @@ class LabeledSeedGeometric:
         if len(self.Btilde) != len(self.vars):
             raise ValueError("ambient variable count mismatch")
         skew_symmetrizer(principal_part(self.Btilde, n))
+        self._names = {}
+        for i, v in enumerate(self.x):
+            d = tuple(-1 if j == i else 0 for j in range(n))
+            self._names[v], self._names[d] = d, v
+        self._rows = {}
+        self.Btilde = tuple(map(self._rows.setdefault, self.Btilde, self.Btilde))
 
     def frozen_monomial(self, i):
         """The ambient variable with index i (0-based) as a Laurent monomial."""
@@ -294,16 +302,41 @@ def exchange_key(x, col, kk):
     return x[kk], frozenset((v, b) for v, b in zip(x, col) if b), tuple(col[len(x):])
 
 
+def _exchanged_variable(seed, col, kk):
+    """x'_k of the exchange relation x_k x'_k = P + M at column col.
+
+    The d-vector recurrence over the names of the cluster gives the name
+    of x'_k (exact by positivity, see _cluster_walk).  When that name
+    belongs to a variable c with x_k c = P + M, c is x'_k, the Laurent
+    ring being a domain.  Otherwise x'_k is the exact quotient, which the
+    name is then given to: a wrong name costs a division, never a value.
+    """
+    factors = list(zip(seed.x, col)) + [
+        (seed.frozen_monomial(i), col[i]) for i in range(seed.n, len(col)) if col[i]
+    ]
+    plus, minus = lp_exchange_monomials(factors, seed.vars)
+    dividend, xk, names = plus + minus, seed.x[kk], seed._names
+    d = exchanged_d_vector([names[v] for v in seed.x], col, kk + 1)
+    c = names.get(d)
+    if c is None or not lp_equal(xk * c, dividend):
+        c = lp_exact_div(dividend, xk)
+        names[c], names[d] = d, c
+    return c
+
+
 def mutate_seed_geometric(seed, k):
     """The seed mutated in direction k: the extended matrix mutated and x_k
     replaced by x'_k = (prod v^{[b_ik]+} + prod v^{[-b_ik]+}) / x_k.
 
     x_k, the set of (x_i, b_ik) over mutable i with b_ik != 0, and the
     frozen column fix the dividend and the divisor, so x'_k is read from
-    the seed's exchange table, divided once per exchangeable pair: the
-    division also records x_k under the key of the step back (x'_k at k,
-    column k negated, frozen rows included), which fixes the same dividend
-    and the divisor x'_k, so its exact quotient is x_k.
+    the seed's exchange table, found once per exchangeable pair: a miss
+    finds x'_k by its d-vector name (see _exchanged_variable) and also
+    records x_k under the key of the step back (x'_k at k, column k
+    negated, frozen rows included), which fixes the same dividend and the
+    divisor x'_k, so its exact quotient is x_k.  The table holds the named
+    objects, so a hit returns the one object of its cluster variable, and
+    the child's matrix rows are the table's copies.
     """
     n = seed.n
     kk = _direction(k, n)
@@ -311,19 +344,18 @@ def mutate_seed_geometric(seed, k):
     key = exchange_key(seed.x, col, kk)
     new_xk = seed._exchanges.get(key)
     if new_xk is None:
-        factors = list(zip(seed.x, col)) + [
-            (seed.frozen_monomial(i), col[i]) for i in range(n, len(col)) if col[i]
-        ]
-        plus, minus = lp_exchange_monomials(factors, seed.vars)
-        new_xk = seed._exchanges[key] = lp_exact_div(plus + minus, seed.x[kk])
+        new_xk = seed._exchanges[key] = _exchanged_variable(seed, col, kk)
         back = exchange_key(seed.x[:kk] + (new_xk,) + seed.x[k:], [-b for b in col], kk)
         seed._exchanges[back] = seed.x[kk]
-    # the child shares vars and the exchange table, and skips the validation:
+    # the child shares vars and the tables, and skips the validation:
     # mutation keeps the skew-symmetrizer (FZ I, Prop. 4.5) and distinct x
     child = object.__new__(LabeledSeedGeometric)
     child.x = seed.x[:kk] + (new_xk,) + seed.x[k:]
-    child.Btilde = mutate_matrix(seed.Btilde, k)
-    child.n, child.vars, child._exchanges = seed.n, seed.vars, seed._exchanges
+    rows = seed._rows
+    M = mutate_matrix(seed.Btilde, k)
+    child.Btilde = tuple(map(rows.setdefault, M, M))
+    child.n, child.vars = seed.n, seed.vars
+    child._exchanges, child._names, child._rows = seed._exchanges, seed._names, rows
     return child
 
 

@@ -1,5 +1,6 @@
 """Exchange graphs, coverings, and finite-type recognition."""
 
+import hashlib
 from functools import cache
 
 import pytest
@@ -10,13 +11,14 @@ from clusteralg import exchange_graph, mutation
 from clusteralg.exchange_graph import (
     Inconclusive,
     _canonical,
+    build_exchange_graph,
     covering_check,
     graph_from_spec,
     is_finite_type,
     mutation_class_finiteness,
     seed_canonical_form,
 )
-from clusteralg.laurent import lp_canonical_text, lp_exact_div
+from clusteralg.laurent import lp_canonical_text, lp_equal, lp_exact_div
 from clusteralg.mutation import (
     LabeledSeedGeometric,
     initial_geometric_seed,
@@ -189,22 +191,27 @@ def test_each_edge_is_mutated_once(monkeypatch, name, edges, coeffs):
     assert len(calls) == edges
 
 
+def counting(calls, f):
+    """f, appending each call's arguments and result to calls."""
+
+    def counted(*args):
+        result = f(*args)
+        calls.append((args, result))
+        return result
+
+    return counted
+
+
 @pytest.fixture(scope="module")
 def instrumented_build():
     """Per (type, coefficients), built once: the exchange graph and then
     the covering check, counting the byte keys serialized, the matrix
-    invariants computed and the exact divisions made."""
-
-    def counting(calls, f):
-        def counted(*args):
-            calls.append(args)
-            return f(*args)
-
-        return counted
+    invariants computed, the exact divisions made and the exchange
+    relations checked by a product."""
 
     @cache
     def build(name, coeffs):
-        serialized, invariants, divisions = [], [], []
+        serialized, invariants, divisions, products = [], [], [], []
         B = named_matrix(name)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
@@ -218,29 +225,89 @@ def instrumented_build():
                 counting(invariants, exchange_graph._matrix_invariants),
             )
             mp.setattr(mutation, "lp_exact_div", counting(divisions, lp_exact_div))
+            mp.setattr(mutation, "lp_equal", counting(products, lp_equal))
             run = {"graph": graph_from_spec(B, coeffs=coeffs)}
             run["serialized"], run["divisions"] = len(serialized), len(divisions)
+            run["products"] = [result for _, result in products]
             run["covered"] = covering_check(B, coeffs_other=coeffs)
-        run["serialized_in_all"], run["invariants"] = len(serialized), invariants
+        run["serialized_in_all"] = len(serialized)
+        run["invariants"] = [args for args, _ in invariants]
         return run
 
     return build
 
 
 @pytest.mark.parametrize(
-    "name,variables,edges,divisions", [("D4", 16, 100, 52), ("E6", 42, 2499, 385)]
+    "name,variables,edges,divisions,relations",
+    [("D4", 16, 100, 12, 52), ("E6", 42, 2499, 36, 385)],
 )
 @pytest.mark.parametrize("coeffs", ["principal", "trivial"])
 def test_each_exchange_relation_is_divided_once(
-    instrumented_build, name, variables, edges, divisions, coeffs
+    instrumented_build, name, variables, edges, divisions, relations, coeffs
 ):
-    # one mutation per edge, one division per exchangeable pair: a relation
-    # and its reverse share the one division that met either first
+    # one mutation per edge, one exact check per exchangeable pair: a
+    # relation and its reverse share the check that met either first.  A
+    # division finds each cluster variable once, and its d-vector names it
+    # for the product checks of the other relations, none of which fails
     run = instrumented_build(name, coeffs)
     g = run["graph"]
     assert g["finite"] and len(g["edges"]) == edges
     assert len(g["cluster_variables"]) == variables
-    assert run["divisions"] == divisions
+    assert run["divisions"] == divisions == variables - len(named_matrix(name))
+    assert all(run["products"])
+    assert run["divisions"] + len(run["products"]) == relations
+
+
+@pytest.mark.parametrize("coeffs", ["principal", "trivial"])
+def test_seeds_share_one_object_per_cluster_variable(instrumented_build, coeffs):
+    g = instrumented_build("E6", coeffs)["graph"]
+    assert len({id(x) for s in g["seeds"].values() for x in s.x}) == 42
+    rows = {id(row) for s in g["seeds"].values() for row in s.Btilde}
+    assert len(rows) == len({row for s in g["seeds"].values() for row in s.Btilde})
+
+
+@pytest.mark.parametrize("coeffs", ["principal", "trivial"])
+def test_a_wrong_name_costs_one_division_and_changes_nothing(monkeypatch, coeffs):
+    # once mu_4 has named x'_4 by the d-vector e_4, that name is given to
+    # x_2: the next of the four relations that meet e_4 again refuses x_2
+    # by its product check, divides x'_4 out and gives the name back
+    B = named_matrix("D4")
+    extend = principal_extension if coeffs == "principal" else trivial_extension
+    seed = initial_geometric_seed(extend(B))
+    divisions = []
+    monkeypatch.setattr(mutation, "lp_exact_div", counting(divisions, lp_exact_div))
+    mutate_seed_geometric(seed, 4)
+    seed._names[(0, 0, 0, 1)] = seed.x[1]
+    g = build_exchange_graph(seed)
+    assert len(divisions) == 12 + 1
+    expected = graph_from_spec(B, coeffs=coeffs)
+    for field in ("vertices", "edges", "finite", "keys", "cluster_variables"):
+        assert g[field] == expected[field], field
+
+
+def _graph_digest(g):
+    """sha256 over the vertex count, edges, cluster variables, finiteness
+    and the sorted (key, vertex) pairs of an exchange graph."""
+    h = hashlib.sha256(
+        repr((g["vertices"], g["edges"], g["cluster_variables"], g["finite"])).encode()
+    )
+    for key, v in sorted(g["keys"].items()):
+        h.update(b"%d:%s\n" % (v, key))
+    return h.hexdigest()
+
+
+# pinned from the route that divided every exchange relation
+E7_GRAPH_DIGESTS = {
+    "principal": "bea5cfc81e16aa53b1e917962cb9d13a7683da9decfec81db6d3cf23b78f986a",
+    "trivial": "f245158549bd3dfe9c3f521d93c27a5c7bf9aed66cc80050502017868fcafa42",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("coeffs", list(E7_GRAPH_DIGESTS))
+def test_e7_graph_is_pinned(coeffs):
+    g = graph_from_spec(named_matrix("E7"), coeffs=coeffs)
+    assert _graph_digest(g) == E7_GRAPH_DIGESTS[coeffs]
 
 
 @pytest.mark.parametrize("other,renders", [("trivial", 32), ("principal", 16)])

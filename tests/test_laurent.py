@@ -10,6 +10,7 @@ from clusteralg.laurent import (
     RationalExpression,
     lp_canonical_text,
     lp_denominator_vector,
+    lp_equal,
     lp_exact_div,
     lp_exchange_monomials,
     lp_from_json,
@@ -182,6 +183,37 @@ def test_packed_chains_match_naive_arithmetic(abcd):
     # cancelling sums fall back to fewer terms
     assert (a * b + c) - a * b == c
     assert (a * b - naive_product(a, b)).is_zero()
+
+
+@given(chain_quads())
+@settings(max_examples=60, deadline=None)
+def test_packed_equality_agrees_with_term_equality(abcd):
+    a, b, c, d = abcd
+    ab = naive_product(a, b)
+    # packed or eager, of equal or other widths and bases
+    for p, q in [
+        (a * b, b * a),
+        (a * b, ab),
+        (ab, a * b),
+        (a * b + c, c + ab),
+        (a * b * c, naive_product(ab, c)),
+        (a * b, c * d),
+        (a * b, a * b + c),
+        (a * b + d, ab + c),
+        (a * b, c),
+    ]:
+        assert lp_equal(p, q) == (p.terms == q.terms)
+
+
+def test_packed_equality_does_not_unpack():
+    x = lp_parse("x + 1", VARS)
+    y = lp_parse("y^2 + x*y + 1", VARS)
+    p, q = x * y + x * x * x, x * (y + x * x)
+    assert lp_equal(p, q) and not lp_equal(p, q + x * x)
+    with pytest.raises(AttributeError):
+        LaurentPolynomial.terms.__get__(p)
+    with pytest.raises(AttributeError):
+        LaurentPolynomial.terms.__get__(q)
 
 
 def test_exchange_dividend_is_divided_without_unpacking():

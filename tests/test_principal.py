@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusteralg import mutation, principal
+from clusteralg.exchange_graph import build_exchange_graph
 from clusteralg.laurent import (
     LaurentPolynomial,
     RationalExpression,
@@ -621,6 +622,19 @@ def test_every_exchange_table_entry_is_its_keys_quotient(B, data):
             seed = mutate_seed_geometric(seed, k)
         for key, x in seed._exchanges.items():
             assert x == _key_quotient(key, seed.vars)
+
+
+@pytest.mark.parametrize("name", ["D4", "E6"])
+@pytest.mark.parametrize("extend", [principal_extension, trivial_extension])
+def test_every_entry_of_a_full_walk_table_is_its_keys_quotient(name, extend):
+    # the reference BFS mutates through the same tables, so a fresh
+    # division of every key is the oracle for the variables their
+    # d-vectors named
+    g = build_exchange_graph(initial_geometric_seed(extend(named_matrix(name))))
+    seed = g["seeds"][0]
+    assert len(seed._exchanges) == {"D4": 104, "E6": 770}[name]
+    for key, x in seed._exchanges.items():
+        assert x == _key_quotient(key, seed.vars)
 
 
 def g_recurrence_reference(Bt, g, k, b0cols):
