@@ -38,7 +38,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul
 
-from .bipartite import initial_keys, orbit_vector, tau_action, tracked
+from .bipartite import initial_keys, orbit_vectors, tau_action, tracked
 from .laurent import LaurentPolynomial
 from .mutation import _pos, mutate_matrix, principal_extension
 from .principal import CrossCheckFailure, g_recurrence
@@ -73,9 +73,10 @@ def _belt_degrees(A, eps, m_hi):
     n = len(A)
     steps = []
     box = dict.fromkeys(initial_keys(eps), (0,) * n)
+    d_vector = orbit_vectors(A, eps, tau_action)
     for m in range(0, m_hi):
         for j in tracked(eps, m + 1):
-            d = orbit_vector(A, eps, j, m - 1, tau_action)
+            d = d_vector(j, m - 1)
             lo = tuple(_pos(-v) for v in d)
             hi = tuple(_pos(v) for v in d)
             nbrs = tuple((i, -A[i][j]) for i in range(n) if i != j and A[i][j])

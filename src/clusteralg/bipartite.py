@@ -80,15 +80,26 @@ def initial_keys(eps, lag=0):
 
 def orbit_vector(A, eps, i, m, op=t_action):
     """alpha(i;m) (op=t_action) or d(i;m) (op=tau_action), 0-based i."""
-    n = len(A)
-    if i not in tracked(eps, m):
-        raise ValueError("alpha(i;m) requires eps(i) = (-1)^m")
-    r = m if m >= 0 else -m - 1
-    v = _simple(n, i, -1)
-    # the alternating word, first applied first: signs eps(i), -eps(i), ...
-    for s in range(r):
-        v = op(A, eps, eps[i] * (-1) ** s, v)
-    return v
+    return orbit_vectors(A, eps, op)(i, m)
+
+
+def orbit_vectors(A, eps, op=t_action):
+    """(i, m) -> orbit_vector(A, eps, i, m, op), which keeps per i the vector
+    of each prefix of the alternating word applied so far and extends the
+    longest one."""
+    prefixes = {}
+
+    def at(i, m):
+        if i not in tracked(eps, m):
+            raise ValueError("alpha(i;m) requires eps(i) = (-1)^m")
+        r = m if m >= 0 else -m - 1
+        vs = prefixes.setdefault(i, [_simple(len(A), i, -1)])
+        # the alternating word, first applied first: signs eps(i), -eps(i), ...
+        while len(vs) <= r:
+            vs.append(op(A, eps, eps[i] * (-1) ** (len(vs) - 1), vs[-1]))
+        return vs[r]
+
+    return at
 
 
 def _mat_mul(A, B):
@@ -430,10 +441,11 @@ def belt_verify(B, m_range=None):
     B1 = tuple(tuple(-v for v in row) for row in B)
     pat1 = PrincipalPattern(B1)
     wminus = belt.mu_minus
+    d_vector = orbit_vectors(A, eps, tau_action)
     for m in range(m_range[0], m_range[1] + 1):
         for i in tracked(eps, m):
             X = belt.x_im(i + 1, m)
-            d = orbit_vector(A, eps, i, m, tau_action)
+            d = d_vector(i, m)
             note(lp_denominator_vector(X, n) == d, "d(%d;%d)" % (i + 1, m))
             g = belt.pattern.g_value(belt.path(m), i + 1)
             note(
@@ -455,7 +467,7 @@ def belt_verify(B, m_range=None):
         ys = tracked(eps, m - 1)
         fam = []
         for j in range(n):
-            fam.append(orbit_vector(A, eps, j, m - 1 if j in ys else m, tau_action))
+            fam.append(d_vector(j, m - 1 if j in ys else m))
         ok = all(
             all(v[r] >= 0 for v in fam) or all(v[r] <= 0 for v in fam)
             for r in range(n)
@@ -465,11 +477,12 @@ def belt_verify(B, m_range=None):
     if cox["finite_type"]:
         h = cox["h"]
         positives = _positive_roots(A)
+        alpha = orbit_vectors(A, eps, t_action)
         for lo, hi, tag in ((1, h, "forward"), (-h - 1, -2, "backward")):
             produced = []
             for m in range(lo, hi + 1):
                 for i in tracked(eps, m):
-                    produced.append(orbit_vector(A, eps, i, m, t_action))
+                    produced.append(alpha(i, m))
             note(
                 sorted(produced) == sorted(positives),
                 "positive-root multiset (%s track)" % tag,

@@ -20,22 +20,25 @@ clears none of them.  Unpacking is `int.to_bytes` plus one `map(add, ...)`
 per term.
 
 Lifetime of a packed form.  A product of two polynomials with two or more
-terms each, a power, a sum with a packed operand (the other operand is
-packed into the same layout), and a packed polynomial times a monomial or
-an int hold only their packed form: (layout, base, top degree, {key:
-coefficient}), at least two nonzero terms.  For a product the base is the
-exact minimum and the top degree exact; for a sum they are bounds.
-`lp_exact_div` reads a packed dividend's keys directly, so the dividend
-`plus + minus` of an exchange relation is never unpacked; division keeps
-the remainder as a dict of packed keys plus a lazily pruned max-heap and
-unpacks only the quotient.
+terms each, a power, a sum with a packed operand in which no term cancels
+(the other operand is packed into the same layout), and a packed
+polynomial times a monomial or an int hold only their packed form:
+(layout, base, top degree, {key: coefficient}), at least two nonzero
+terms.  The base is always the exact minimum and the top degree exact: a
+sum in which a term cancels is unpacked instead.  `lp_exact_div` reads a
+packed dividend's keys directly, so the dividend `plus + minus` of an
+exchange relation is never unpacked; division keeps the remainder as a
+dict of packed keys plus a lazily pruned max-heap and returns its quotient
+with both its terms and the packed form it computed.
 
 When `terms` materializes.  `terms` of a packed polynomial is built on its
 first read (by `__getattr__`) and kept beside the packed form: `==`,
 hashing, text, JSON, substitution, `min_exponents` and everything outside
 this kernel read it; `lp_equal` compares packed keys instead.  A
-polynomial built from a term dict has `terms` from the start and no packed
-form.
+polynomial of two or more terms built from a term dict has `terms` from
+the start; it is packed in its own frame the first time this kernel needs
+its frame, and keeps that packed form, so later products, sums and
+divisions of the same width read its keys without packing it again.
 """
 
 from __future__ import annotations
@@ -112,19 +115,19 @@ def _layout(n, top):
     return layout
 
 
-def _top_degree(p, mins):
-    """Largest total degree of p after shifting it by -mins."""
-    return max(map(sum, p.terms)) - sum(mins)
-
-
 def _frame(p):
-    """(base, top): p's packed base and top degree, or else its minimum
-    exponents and its top degree shifted by them."""
+    """(base, top): p's exact minimum exponents and its top degree shifted
+    by them.  A polynomial of two or more terms without a packed form is
+    packed in this frame and keeps it."""
     pk = p._packed
     if pk is not None:
         return pk[1], pk[2]
     base = p.min_exponents()
-    return base, _top_degree(p, base)
+    top = max(map(sum, p.terms)) - sum(base)
+    if len(p.terms) > 1:
+        layout = _layout(len(base), top)
+        p._packed = (layout, base, top, layout.pack(p.terms, base))
+    return base, top
 
 
 def _common_frame(a, b):
@@ -139,7 +142,8 @@ def _common_frame(a, b):
 
 
 def _packed_items(p, layout, base):
-    """{key of e - base: c} over p's terms in layout, base <= p's base.
+    """{key of e - base: c} over p's terms in layout, base <= p's base,
+    p's frame having been taken (see _frame).
 
     A packed p of this layout gives its own dict (read only) or a copy with
     every key moved by one constant; any other p is packed from its terms.
@@ -154,8 +158,8 @@ def _packed_items(p, layout, base):
 class LaurentPolynomial:
     """Immutable Laurent polynomial over a fixed tuple of variable names.
 
-    A packed polynomial (see the module docstring) leaves the `terms` slot
-    unset until it is first read.
+    A polynomial with only a packed form (see the module docstring) leaves
+    the `terms` slot unset until it is first read.
     """
 
     __slots__ = ("vars", "terms", "_hash", "_packed")
@@ -262,14 +266,18 @@ class LaurentPolynomial:
         if t is a._packed[3]:
             t = dict(t)  # never write to a shared packed form
         get = t.get
+        cancelled = False
         for k, c in _packed_items(b, layout, base).items():
             c += get(k, 0)
             if c:
                 t[k] = c
             else:
                 del t[k]
-        if len(t) > 1:
+                cancelled = True
+        if len(t) > 1 and not cancelled:
             return LaurentPolynomial._of_packed(self.vars, layout, base, top, t)
+        # a cancelled term may have held a minimum or the top degree, which
+        # would leave the frame a bound: the sum is unpacked instead
         return LaurentPolynomial._of(self.vars, layout.unpack(t.items(), base))
 
     __radd__ = __add__
@@ -399,10 +407,10 @@ def lp_exact_div(p, q):
             p.vars, layout, tuple(map(sub, base, qe)), top, items
         )
     mp, tp = _frame(p)
-    mq = q.min_exponents()
-    layout = _layout(len(mp), max(tp, _top_degree(q, mq)))
+    mq, tq = _frame(q)
+    layout = _layout(len(mp), max(tp, tq))
     guard = layout.guard
-    Q = sorted(layout.pack(q.terms, mq).items(), reverse=True)
+    Q = sorted(_packed_items(q, layout, mq).items(), reverse=True)
     lead, qc = Q[0]
     tail = Q[1:]
     rem = dict(_packed_items(p, layout, mp))
@@ -434,8 +442,13 @@ def lp_exact_div(p, q):
                     rem[e] = c
                 else:
                     del rem[e]
+    # both bases are exact, so offset is the quotient's minimum; its first
+    # term is its largest, whose degree field is its top degree
     offset = tuple(map(sub, mp, mq))
-    return LaurentPolynomial._of(p.vars, layout.unpack(quot, offset))
+    r = LaurentPolynomial._of(p.vars, layout.unpack(quot, offset))
+    if len(quot) > 1:
+        r._packed = (layout, offset, quot[0][0] >> (layout.n * layout.width), dict(quot))
+    return r
 
 
 def lp_equal(p, q):

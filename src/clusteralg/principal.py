@@ -12,13 +12,14 @@ tuple indexed from 0.
 
 The exchange relation at a vertex fixes X_k', F_k' = X_k'|_{x=1} and the
 g-vector of X_k'.  A pattern divides once per exchangeable pair (mutation
-is an involution; see _step), checks it once, and keeps the result in its
-exchange table.  The two g-vector recurrences, whose agreement is degree
-consistency, read only what the table's key fixes, because every stored g
-is the multidegree of its X; they run against the multidegree once in each
-direction of a relation, when it is recorded.  The labeled route of
-conjecture_suite on A4 and D4 makes 940 runs for 14,787 steps, the route
-over relabeling classes 940 runs for 2,113 steps.
+is an involution; see _step), one exact division for X_k', reads F_k' off
+X_k' and checks it against its own recurrence by one product, and keeps
+the result in its exchange table.  The two g-vector recurrences, whose
+agreement is degree consistency, read only what the table's key fixes,
+because every stored g is the multidegree of its X; they run against the
+multidegree once in each direction of a relation, when it is recorded.
+The labeled route of conjecture_suite on A4 and D4 makes 940 runs for
+14,787 steps, the route over relabeling classes 940 runs for 2,113 steps.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .laurent import (
     LaurentPolynomial,
     RationalExpression,
     lp_denominator_vector,
+    lp_equal,
     lp_exact_div,
     lp_exchange_monomials,
     lp_substitute_monomial,
@@ -131,15 +133,11 @@ class PrincipalPattern:
         self.yvars = tuple("y%d" % (j + 1) for j in range(n))
         self.vars = self.xvars + self.yvars
         Bt0 = principal_extension(self.B0)
-        # constants of every step: the y_j in x,y and in y alone, and 1 in y
+        # constants of every step: the y_j in x,y and in y alone
         self._frozen = tuple(LaurentPolynomial.var(self.vars, v) for v in self.yvars)
-        self._one_y = LaurentPolynomial.const(self.yvars, 1)
         self._y = tuple(LaurentPolynomial.var(self.yvars, v) for v in self.yvars)
-        # x_i -> 1, y_j -> y_j: the specialization X -> F
-        self._spec = dict.fromkeys(self.xvars, self._one_y)
-        self._spec.update(zip(self.yvars, self._y))
         X0 = tuple(LaurentPolynomial.var(self.vars, v) for v in self.xvars)
-        F0 = (self._one_y,) * n
+        F0 = (LaurentPolynomial.const(self.yvars, 1),) * n
         g0 = tuple(tuple(1 if i == ell else 0 for i in range(n)) for ell in range(n))
         self._states = {(): PatternState(Bt0, X0, F0, g0)}
         self._b0cols = [tuple(self.B0[i][j] for i in range(n)) for j in range(n)]
@@ -209,9 +207,10 @@ class PrincipalPattern:
         """(X_k', F_k', g-vector of X_k') of the exchange at k from st, col
         being column k of st's extended matrix.
 
-        Runs once per exchangeable pair (see _step): both exact
-        divisions, F by specialization and by recurrence, the multidegree
-        and the structural invariants.
+        Runs once per exchangeable pair (see _step): one exact division
+        for X_k', F_k' read off it at x = 1 and checked against the F
+        recurrence F_k F_k' = Fp + Fm by one product, the multidegree and
+        the structural invariants.
         """
         n = self.n
         kk = k - 1
@@ -219,20 +218,30 @@ class PrincipalPattern:
             zip(st.X + self._frozen, col), self.vars
         )
         Xk = lp_exact_div(plus + minus, st.X[kk])
-        # F-polynomial: by specialization and independently by recurrence
-        Fk = lp_substitute_monomial(Xk, self._spec)
+        Fk = self._at_x_one(Xk)
         Fp, Fm = lp_exchange_monomials(
             zip(self._y + st.F, col[n:] + col[:n]), self.yvars
         )
-        if Fk != lp_exact_div(Fp + Fm, st.F[kk]):
+        if not lp_equal(st.F[kk] * Fk, Fp + Fm):
             raise CrossCheckFailure("F-polynomial recurrence disagrees at k=%d" % k)
         gk = self._multidegree(Xk)
-        # structural invariants
-        if any(e[n + j] < 0 for e in Xk.terms for j in range(n)):
+        # structural invariants, on F's exponents: X's y-exponents
+        low = Fk.min_exponents()
+        if min(low) < 0:
             raise CrossCheckFailure("negative y-exponent in a cluster variable")
-        if any(v != 0 for v in Fk.min_exponents()):
+        if any(low):
             raise CrossCheckFailure("F-polynomial divisible by a y-variable")
         return Xk, Fk, gk
+
+    def _at_x_one(self, X):
+        """X at x_i = 1, in y alone: each exponent's y-part, coefficients
+        summed."""
+        n = self.n
+        F = {}
+        for e, c in X.terms.items():
+            f = e[n:]
+            F[f] = F.get(f, 0) + c
+        return LaurentPolynomial(self.yvars, F)
 
     def _multidegree(self, X):
         n = self.n

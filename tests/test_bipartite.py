@@ -19,6 +19,7 @@ from clusteralg.bipartite import (
     coxeter_data,
     involution_from_boundary,
     orbit_vector,
+    orbit_vectors,
     periodicity_check,
     t_action,
     tau_action,
@@ -81,6 +82,26 @@ def test_orbit_vectors_a2_chain():
         assert orbit_vector(A2_CARTAN, EPS, i - 1, m, t_action) == v
         # for A2 (simply laced, trivial tau beyond t) the d-vectors agree
         assert orbit_vector(A2_CARTAN, EPS, i - 1, m, tau_action) == v
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "E6", "affine"])
+@pytest.mark.parametrize("op", [t_action, tau_action])
+def test_orbit_vectors_extend_the_word_in_any_order(name, op):
+    A = ((2, -2), (-2, 2)) if name == "affine" else CARTAN[name]
+    eps = bipartite_sign_from_cartan(A)
+    keys = [(i, m) for m in range(-9, 10) for i in tracked(eps, m)]
+    # the table is filled out of order: long words first, then their prefixes
+    keys = keys[::-2] + keys[-2::-2]
+    at = orbit_vectors(A, eps, op)
+    for i, m in keys:
+        # reference: the alternating word folded from -alpha_i, signs
+        # eps(i), -eps(i), ...
+        v = tuple(-1 if r == i else 0 for r in range(len(A)))
+        for s in range(m if m >= 0 else -m - 1):
+            v = op(A, eps, eps[i] * (-1) ** s, v)
+        assert at(i, m) == v
+    with pytest.raises(ValueError):
+        at(keys[0][0], keys[0][1] + 1)
 
 
 def test_belt_tracked_data_a2():

@@ -1,9 +1,11 @@
 """Every name a module under src/ or tests/ imports is read somewhere in it,
-every import sits at module level, and every name the benchmark's tracer
-wraps still exists."""
+every import sits at module level, every name the benchmark's tracer wraps
+still exists, and the modules the benchmark imports load no others."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,25 @@ def test_every_tracing_target_resolves():
         )
     ]
     assert missing == []
+
+
+def test_the_benchmarked_modules_load_no_other_module():
+    # each benchmark child imports these three and compiles what they
+    # import, so a new module here is set-up time in every child
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "import clusteralg.bipartite, clusteralg.exchange_graph, clusteralg.principal\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'clusteralg')))"
+    ) % str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == [
+        "clusteralg",
+        "clusteralg.bipartite",
+        "clusteralg.exchange_graph",
+        "clusteralg.laurent",
+        "clusteralg.mutation",
+        "clusteralg.principal",
+        "clusteralg.semifield",
+    ]

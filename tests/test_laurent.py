@@ -227,6 +227,84 @@ def test_exchange_dividend_is_divided_without_unpacking():
     assert dividend == naive_sum(naive_product(x, y), naive_product(naive_product(x, x), x))
 
 
+def eager_copy(p):
+    """p rebuilt from a copy of its terms: a tuple-key reference that no
+    kernel operation has packed."""
+    return LaurentPolynomial(p.vars, dict(p.terms))
+
+
+def assert_kept_form_is_exact(p):
+    """A packed form, kept or only, is p's terms packed in its frame, and
+    the frame is exact: the minimum exponents and the top degree."""
+    if p._packed is not None:
+        layout, base, top, items = p._packed
+        assert base == p.min_exponents()
+        assert top == max(map(sum, p.terms)) - sum(base)
+        assert items == layout.pack(p.terms, base)
+
+
+@st.composite
+def reuse_cases(draw):
+    """(a, b, w, how): a and b in 1..8 variables whose top shifted degrees
+    are 2^k - 1 or 2^k, at the 8/16/32-bit field boundaries among others,
+    w a partner of another degree, and how a is packed before use."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from((1, 2, 3, 4, 6, 7, 8, 15, 16, 31, 32)))
+    degree = (1 << k) - draw(st.integers(0, 1))
+    offsets = st.tuples(*[st.integers(-40, 40)] * n)
+    a = draw(edge_factor(n, draw(offsets), degree))
+    b = draw(edge_factor(n, draw(offsets), draw(st.sampled_from((1, 2, degree)))))
+    w = draw(edge_factor(n, draw(offsets), draw(st.sampled_from((1, degree, 2 * degree)))))
+    return a, b, w, draw(st.sampled_from(("product", "sum", "quotient")))
+
+
+@given(reuse_cases())
+@settings(max_examples=80, deadline=None)
+def test_packed_operands_are_reused_without_changing_results(case):
+    a, b, w, how = case
+    ra, rb = eager_copy(a), eager_copy(b)
+    # pack a in its own frame, or make it a quotient holding the packed
+    # form of a division whose layout w's degree may widen
+    if how == "product":
+        assert a * w == naive_product(ra, w)
+    elif how == "sum":
+        assert a + w * w == naive_sum(ra, naive_product(w, w))
+    else:
+        a = lp_exact_div(naive_product(ra, w), w)
+    assert a._packed is not None
+    assert b * w == naive_product(rb, w)  # b packed too, in its own frame
+    for _ in range(2):  # the second round reads the forms the first one kept
+        assert a * b == naive_product(ra, rb) and b * a == naive_product(ra, rb)
+        assert a + b == naive_sum(ra, rb) and b + a == naive_sum(ra, rb)
+        assert a - a == LaurentPolynomial.zero(a.vars)
+        assert lp_exact_div(a * b, a) == rb and lp_exact_div(a * b, b) == ra
+        assert lp_exact_div(naive_product(ra, rb), a) == rb
+        assert lp_equal(a, ra) and lp_equal(ra, a) and lp_equal(a * b, naive_product(ra, rb))
+        assert lp_equal(a, b) == (ra.terms == rb.terms)
+    for p, r in ((a, ra), (b, rb)):
+        assert p.terms == r.terms and hash(p) == hash(r) and p == r and r == p
+
+
+@given(reuse_cases())
+@settings(max_examples=80, deadline=None)
+def test_kept_and_quotient_packed_forms_equal_packing_their_terms(case):
+    a, b, w, _ = case
+    ab = a * b
+    for p in (
+        a,
+        b,
+        ab,
+        ab + w,
+        ab + w - w,  # terms cancel, so the frame of ab + w only bounds it
+        ab * 3,
+        lp_exact_div(ab, a),
+        lp_exact_div(ab, b),
+        lp_exact_div(naive_product(a, w), w),
+        lp_exact_div(ab * w, lp_exact_div(ab, a)),
+    ):
+        assert_kept_form_is_exact(p)
+
+
 def boundary_factors(n, degree, offset):
     """x^offset * (1 + x_{i}^degree + a few mixed terms) for i < n: minimum
     exponents offset and top shifted degree exactly `degree`."""

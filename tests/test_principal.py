@@ -542,8 +542,9 @@ def test_pattern_keeps_one_object_per_cluster_variable():
 
 def test_exchange_table_divides_each_relation_once(monkeypatch):
     # A3's suite walks the patterns of B0, -B0 and each mu_k(B0) and
-    # divides once per exchangeable pair, two divisions each (X and F);
-    # one per distinct relation took 238, one per tree edge 806
+    # divides once per exchangeable pair, one division each (X; F is read
+    # off X and checked by a product); dividing F as well took 120, one
+    # pair of divisions per distinct relation 238, one per tree edge 806
     calls = []
     divide = principal.lp_exact_div
 
@@ -553,7 +554,7 @@ def test_exchange_table_divides_each_relation_once(monkeypatch):
 
     monkeypatch.setattr(principal, "lp_exact_div", counting)
     principal._labeled_suite(named_matrix("A3"))
-    assert len(calls) == 120
+    assert len(calls) == 60
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
@@ -612,9 +613,12 @@ def test_every_exchange_table_entry_is_its_keys_quotient(B, data):
     path = data.draw(st.lists(st.integers(1, n), max_size=6))
     pat = PrincipalPattern(B)
     pat.state(path)
+    # x_i -> 1, y_j -> y_j: the specialization X -> F
+    spec = {v: LaurentPolynomial.const(pat.yvars, 1) for v in pat.xvars}
+    spec.update((v, LaurentPolynomial.var(pat.yvars, v)) for v in pat.yvars)
     for key, (X, F, g) in pat._exchanges.items():
         assert X == _key_quotient(key, pat.vars)
-        assert F == lp_substitute_monomial(X, pat._spec)
+        assert F == lp_substitute_monomial(X, spec)
         assert g == pat._multidegree(X)
     for Bt in (principal_extension(B), trivial_extension(B)):
         seed = initial_geometric_seed(Bt)
@@ -770,21 +774,24 @@ def test_the_g_recurrence_runs_twice_per_recorded_relation(monkeypatch):
 
 
 def test_f_cross_check_runs_on_first_sighting(monkeypatch):
-    pat = PrincipalPattern(named_matrix("A3"))
-    pat.state((1, 2))
-    pat.state((3,))
-    substitute = principal.lp_substitute_monomial
-
-    def corrupted(p, values):
-        return substitute(p, values) * 2
-
-    monkeypatch.setattr(principal, "lp_substitute_monomial", corrupted)
-    # mu_1 at (1, 2, 1) is a relation not yet in the table: both routes run
-    with pytest.raises(CrossCheckFailure, match="F-polynomial"):
-        pat.state((1, 2, 1))
-    # b_13 = 0, so mu_3 leaves the relation of mu_1 as it is: (3, 1) is a
-    # table hit that (1,) already checked, and the corrupted route never runs
-    assert pat.state((3, 1)).F[0] == pat.state((1,)).F[0]
+    at_x_one, equal = PrincipalPattern._at_x_one, principal.lp_equal
+    # the F-polynomial read off X, or the product F_k F_k', the first
+    # operand of the check, made twice what it should be
+    for owner, name, corrupted in [
+        (PrincipalPattern, "_at_x_one", lambda self, X: at_x_one(self, X) * 2),
+        (principal, "lp_equal", lambda p, q: equal(p * 2, q)),
+    ]:
+        pat = PrincipalPattern(named_matrix("A3"))
+        pat.state((1, 2))
+        pat.state((3,))
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, corrupted)
+            # mu_1 at (1, 2, 1) is a relation not yet in the table: the check runs
+            with pytest.raises(CrossCheckFailure, match="F-polynomial"):
+                pat.state((1, 2, 1))
+            # b_13 = 0, so mu_3 leaves the relation of mu_1 as it is: (3, 1) is
+            # a table hit that (1,) already checked, and no corrupted route runs
+            assert pat.state((3, 1)).F[0] == pat.state((1,)).F[0]
 
 
 @st.composite
