@@ -24,24 +24,18 @@ p/2, for its coefficient sum, for its degree box, and for its exact value at
 D + (1, ..., 1): a box too small on one axis gives a polynomial that agrees
 with F at every node, (1, ..., 1) included, but not beyond them.  p is the
 first Mersenne prime of a fixed list above that bound.
-
-`belt_distinct` is the infinite-type branch of
-`bipartite.periodicity_check`: it runs the belt's mutations on values mod p
-at one fixed point and compares residues.  It builds no polynomial unless
-two residues are equal.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul
 
 from .bipartite import initial_keys, orbit_vectors, tau_action, tracked
 from .laurent import LaurentPolynomial
-from .mutation import _pos, mutate_matrix, principal_extension
-from .principal import CrossCheckFailure, g_recurrence
+from .mutation import _pos
+from .principal import CrossCheckFailure
 
 # Mersenne primes 2^k - 1, ascending: the moduli the route may use.
 _PRIMES = tuple((1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279))
@@ -236,142 +230,3 @@ def belt_table(A, eps, m_hi):
     if p is None:
         raise ArithmeticError("belt F-polynomials need a prime above the fixed list")
     return _table_mod_p(len(A), eps, steps, box, at_one, p)
-
-
-# -- non-repetition on the belt ---------------------------------------------
-
-
-def _point(n):
-    """The fixed pseudo-random point (x1..xn, y1..yn) of the residue walk,
-    with coordinates in [2, 2^61 - 1), so nonzero modulo every listed prime."""
-    rng = random.Random(_PRIMES[0])
-    v = [rng.randrange(2, _PRIMES[0]) for _ in range(2 * n)]
-    return v[:n], v[n:]
-
-
-def _inverse(v, p):
-    """The inverse of v mod p; ZeroDivisionError when v is 0 mod p."""
-    v %= p
-    if not v:
-        raise ZeroDivisionError("a divisor is 0 modulo %d" % p)
-    return pow(v, -1, p)
-
-
-def _monomials(values, exps, p):
-    """(prod v^e over e > 0, prod v^-e over e < 0) mod p."""
-    plus = minus = 1
-    for v, e in zip(values, exps):
-        if e > 0:
-            plus = plus * pow(v, e, p) % p
-        elif e < 0:
-            minus = minus * pow(v, -e, p) % p
-    return plus, minus
-
-
-def _ratio(values, exps, p):
-    """prod v^e mod p over integer exponents e."""
-    plus, minus = _monomials(values, exps, p)
-    return plus * _inverse(minus, p) % p
-
-
-def _mutate_y(Y, row, kk, p):
-    """Y-seed mutation at kk mod p, row being row kk of the exchange matrix:
-    y_k' = 1/y_k and y_j' = y_j y_k^[b_kj]+ (1 + y_k)^-b_kj, which is
-    y_j (y_k / (1 + y_k))^b_kj for b_kj > 0 and y_j (1 + y_k)^-b_kj for
-    b_kj < 0."""
-    yk = Y[kk]
-    ratio = yk * _inverse(1 + yk, p) % p
-    out = [
-        y * pow(ratio if b > 0 else 1 + yk, abs(b), p) % p if b else y
-        for y, b in zip(Y, row)
-    ]
-    out[kk] = _inverse(yk, p)
-    return out
-
-
-def belt_residues(belt, cap, p):
-    """[(kind, i, m, residue)] for m = 0..cap and i = 1..n, in that order:
-    kind "x" with the value of x_{i;m} where eps(i) = (-1)^m, kind "y" with
-    the value of Y_{i;m} where eps(i) = (-1)^(m-1), at the fixed point mod p.
-
-    One walk along the belt's path keeps the extended matrix, the g-vectors,
-    the cluster variables X, the F-polynomials at y and at
-    yhat_j = y_j prod_i x_i^{b_ij}, and the coefficients Y by y-seed
-    mutation.  Each new X_k must equal x^{g_k} F_k(yhat), and at every belt
-    vertex each Y_j must equal y^{c_j} prod_i F_i^{b_ij}; CrossCheckFailure
-    otherwise, ZeroDivisionError when X_k, F_k or 1 + Y_k is 0 mod p.
-    """
-    n = belt.n
-    b0cols = [tuple(row[j] for row in belt.B) for j in range(n)]
-    xs, ys = _point(n)
-    yhat = [y * _ratio(xs, col, p) % p for y, col in zip(ys, b0cols)]
-    Bt = principal_extension(belt.B)
-    g = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-    X, Fy, Fh, Y = list(xs), [1] * n, [1] * n, list(ys)
-    out = []
-    done = 0
-    for m in range(cap + 1):
-        path = belt.path(m)
-        for k in path[done:]:
-            kk = k - 1
-            col = [row[kk] for row in Bt]
-            new = []
-            for vals, frozen in ((X, ys), (Fy, ys), (Fh, yhat)):
-                plus, minus = _monomials(vals + frozen, col, p)
-                new.append((plus + minus) * _inverse(vals[kk], p) % p)
-            X[kk], Fy[kk], Fh[kk] = new
-            gk = g_recurrence(Bt, g, k, b0cols)
-            other = _ratio(xs, gk, p) * Fh[kk] % p
-            if X[kk] != other:
-                raise CrossCheckFailure(
-                    "X_%d on the way to belt seed %d: %d by the exchange relation,"
-                    " %d by x^g F(yhat), mod %d" % (k, m, X[kk], other, p)
-                )
-            g = g[:kk] + (gk,) + g[kk + 1 :]
-            Y = _mutate_y(Y, Bt[kk], kk, p)
-            Bt = mutate_matrix(Bt, k)
-        done = len(path)
-        for j in range(n):
-            other = _ratio(Fy + ys, [row[j] for row in Bt], p)
-            if Y[j] != other:
-                raise CrossCheckFailure(
-                    "Y_%d at belt seed %d: %d by y-seed mutation,"
-                    " %d by y^c prod F^b, mod %d" % (j + 1, m, Y[j], other, p)
-                )
-        for i in range(n):
-            if i in tracked(belt.eps, m):
-                out.append(("x", i + 1, m, X[i]))
-            else:
-                out.append(("y", i + 1, m, Y[i]))
-    return out
-
-
-def belt_distinct(belt, cap):
-    """Certify that the tracked x_{i;m} and Y_{i;m}, m = 0..cap, of the belt
-    are pairwise distinct, or raise CrossCheckFailure naming the first
-    repeat.
-
-    Evaluation at a point mod p is a ring homomorphism, so different
-    residues prove different values.  Equal residues are compared exactly
-    (x_im by its terms, y_universal by cross-multiplication), and only an
-    exact match is a repeat.  When a divisor is 0 mod p the walk moves to the
-    next prime of the list.
-    """
-    for p in _PRIMES:
-        try:
-            residues = belt_residues(belt, cap, p)
-        except ZeroDivisionError:
-            continue
-        break
-    else:
-        raise ArithmeticError("belt residues hit a zero divisor modulo every listed prime")
-    seen = {}
-    for kind, i, m, r in residues:
-        value = belt.x_im if kind == "x" else belt.y_universal
-        earlier = seen.setdefault((kind, r), [])
-        for i0, m0 in earlier:
-            if value(i, m) == value(i0, m0):
-                raise CrossCheckFailure(
-                    "%s repeats: (%d;%d) vs %s" % (kind, i, m, (i0, m0))
-                )
-        earlier.append((i, m))

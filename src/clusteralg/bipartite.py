@@ -16,13 +16,16 @@ from .mutation import (
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     matrix,
+    mutate_matrix,
     positive_definite,
+    principal_extension,
     tree_symmetrizer,
 )
 from .principal import (
     CrossCheckFailure,
     PrincipalPattern,
     g_mutation_rule,
+    g_recurrence,
     seed_signature,
 )
 from .semifield import UniversalSemifield
@@ -166,21 +169,19 @@ class Belt:
         self.eps = eps
         self.n = len(B)
         self.pattern = PrincipalPattern(B)
-        self.mu_plus = tuple(k + 1 for k in range(self.n) if eps[k] == 1)
-        self.mu_minus = tuple(k + 1 for k in range(self.n) if eps[k] == -1)
+        # d(i;m), 0-based i, filled on demand and shared by every reader
+        self.d_vector = orbit_vectors(A, eps, tau_action)
+        self.mu_minus = tuple(k + 1 for k in tracked(eps, 1))
         self._paths = {0: ()}
 
     def path(self, m):
-        """Tree path from the initial vertex to the belt seed at index m."""
-        if m in self._paths:
-            return self._paths[m]
-        if m > 0:
-            prev = self.path(m - 1)
-            word = self.mu_minus if (m - 1) % 2 == 0 else self.mu_plus
-        else:
-            prev = self.path(m + 1)
-            word = self.mu_plus if (m + 1) % 2 == 0 else self.mu_minus
-        self._paths[m] = prev + word
+        """Tree path from the initial vertex to the belt seed at index m;
+        the step to m mutates at tracked(eps, r), r = m above 0, m + 1
+        below."""
+        if m not in self._paths:
+            prev, r = (m - 1, m) if m > 0 else (m + 1, m + 1)
+            word = tuple(k + 1 for k in tracked(self.eps, r))
+            self._paths[m] = self.path(prev) + word
         return self._paths[m]
 
     def state(self, m):
@@ -226,7 +227,7 @@ class Belt:
         with d = d(j;m-1)."""
         n = self.n
         A = self.A
-        d = orbit_vector(self.A, self.eps, j - 1, m - 1, tau_action)
+        d = self.d_vector(j - 1, m - 1)
         lhs = self.x_im(j, m - 1) * self.x_im(j, m + 1)
         ambient = self.pattern.vars
         mon_plus = [0] * (2 * n)
@@ -243,7 +244,7 @@ class Belt:
             raise CrossCheckFailure("belt exchange relation fails at j=%d m=%d" % (j, m))
 
     def verify_tropical_y(self, j, m):
-        d = orbit_vector(self.A, self.eps, j - 1, m - 1, tau_action)
+        d = self.d_vector(j - 1, m - 1)
         if self.y_jm_tracked(j, m) != tuple(-v for v in d):
             raise CrossCheckFailure("tropical y formula fails at j=%d m=%d" % (j, m))
 
@@ -362,7 +363,7 @@ def _belt_y_values(A, eps, steps, vals):
 
 def periodicity_check(B, mode="seeds", cap=40):
     """Finite type: exact period dividing 2(h+2); infinite type: pairwise
-    distinctness of the tracked family up to cap (see `belt_modp`)."""
+    distinctness of the tracked family up to cap (see `belt_distinct`)."""
     if mode not in ("seeds", "y-system"):
         raise ValueError("mode must be seeds or y-system")
     B = matrix(B)
@@ -392,11 +393,57 @@ def periodicity_check(B, mode="seeds", cap=40):
                 if belt.y_universal(j + 1, m) != belt.y_universal(j + 1, m + period):
                     raise CrossCheckFailure("Y-value period fails")
         return {"finite": True, "h": h, "divides": period}
-    # infinite type: distinctness, certified from residues mod p
-    from .belt_modp import belt_distinct
-
     belt_distinct(belt, cap)
     return {"finite": False, "no_period_up_to": cap}
+
+
+def _belt_keys(belt, cap):
+    """(kind, i, m, key) for m = 0..cap and i = 1..n, in that order: "x"
+    and the g-vector of x_{i;m} where eps(i) = (-1)^m, else "y" and the
+    c-vector of Y_{i;m}, read off one walk of the principal extended matrix.
+
+    Each key is a function of its value.  In the grading deg x_i = e_i,
+    deg y_j = -b_j (FZ IV section 6) the two routes of g_recurrence agree
+    only if deg P = deg M, so X_k' = (P + M) / X_k is homogeneous of the
+    degree returned: by induction every g is the degree of its x.  The
+    c-vector is Y's image under Q_sf(y) -> Trop(y)."""
+    n = belt.n
+    Bt = principal_extension(belt.B)
+    g = tuple(_simple(n, i) for i in range(n))
+    done = 0
+    for m in range(cap + 1):
+        path = belt.path(m)
+        for k in path[done:]:
+            g = g[: k - 1] + (g_recurrence(Bt, g, k, belt.pattern._b0cols),) + g[k:]
+            Bt = mutate_matrix(Bt, k)
+        done = len(path)
+        xs = tracked(belt.eps, m)
+        for i in range(n):
+            if i in xs:
+                yield "x", i + 1, m, g[i]
+            else:
+                yield "y", i + 1, m, tuple(row[i] for row in Bt[n:])
+
+
+def belt_distinct(belt, cap):
+    """Certify that the tracked x_{i;m} and Y_{i;m}, m = 0..cap, of the belt
+    are pairwise distinct, or raise CrossCheckFailure naming the first
+    repeat.
+
+    Equal values have equal keys (`_belt_keys`), so values are compared
+    exactly (x_im by its terms, y_universal by cross-multiplication) only
+    within one key, and only an exact match is a repeat.
+    """
+    seen = {}
+    for kind, i, m, key in _belt_keys(belt, cap):
+        value = belt.x_im if kind == "x" else belt.y_universal
+        earlier = seen.setdefault((kind, key), [])
+        for i0, m0 in earlier:
+            if value(i, m) == value(i0, m0):
+                raise CrossCheckFailure(
+                    "%s repeats: (%d;%d) vs %s" % (kind, i, m, (i0, m0))
+                )
+        earlier.append((i, m))
 
 
 # -- belt theorems --------------------------------------------------------
@@ -441,11 +488,10 @@ def belt_verify(B, m_range=None):
     B1 = tuple(tuple(-v for v in row) for row in B)
     pat1 = PrincipalPattern(B1)
     wminus = belt.mu_minus
-    d_vector = orbit_vectors(A, eps, tau_action)
     for m in range(m_range[0], m_range[1] + 1):
         for i in tracked(eps, m):
             X = belt.x_im(i + 1, m)
-            d = d_vector(i, m)
+            d = belt.d_vector(i, m)
             note(lp_denominator_vector(X, n) == d, "d(%d;%d)" % (i + 1, m))
             g = belt.pattern.g_value(belt.path(m), i + 1)
             note(
@@ -467,7 +513,7 @@ def belt_verify(B, m_range=None):
         ys = tracked(eps, m - 1)
         fam = []
         for j in range(n):
-            fam.append(d_vector(j, m - 1 if j in ys else m))
+            fam.append(belt.d_vector(j, m - 1 if j in ys else m))
         ok = all(
             all(v[r] >= 0 for v in fam) or all(v[r] <= 0 for v in fam)
             for r in range(n)

@@ -352,7 +352,7 @@ def belt(type_name, matrix_file, rank2, range_text, verify, out):
         for i in range(1, bw.n + 1):
             if i - 1 in bipartite.tracked(eps, m):
                 x = _poly_fraction_text(bw.x_im(i, m))
-                d = bipartite.orbit_vector(A, eps, i - 1, m, bipartite.tau_action)
+                d = bw.d_vector(i - 1, m)
                 lines += ["x[%d;%d] = %s" % (i, m, x), "d(%d;%d) = %s" % (i, m, d)]
             else:
                 y = _trop_text(bw.y_jm_tracked(i, m), bw.pattern.yvars)
@@ -375,6 +375,8 @@ def belt(type_name, matrix_file, rank2, range_text, verify, out):
 @click.option("--out", default=None)
 def ysystem(type_name, rank2, cartan_file, steps, initial, semifield_name, out):
     """Iterate the Y-system attached to a symmetrizable Cartan matrix."""
+    if initial == "ones" and semifield_name == "trop":
+        raise UsageError("--initial ones is numeric and cannot run in --semifield trop")
     if cartan_file:
         if type_name or rank2:
             raise UsageError("provide exactly one of --type / --rank2 / --cartan")

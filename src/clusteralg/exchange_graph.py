@@ -160,9 +160,8 @@ def build_exchange_graph(seed, cap=10 ** 5):
 
     The seeds share seed's tables (see mutate_seed_geometric): each
     exchangeable pair is checked once, and each cluster variable is
-    divided out once and then found by its d-vector, so on E6 36
-    divisions and 349 product checks cover the 385 pairs, and the seeds
-    hold 42 polynomial objects.  No step depends on the type being
+    divided out once and then found by its d-vector, so the seeds hold
+    one polynomial object per cluster variable.  No step depends on the type being
     finite, so is_finite_type's BFS stays independent of its
     positive-definiteness test."""
     keys, index, found, edges, finite = _walk((seed,), cap)

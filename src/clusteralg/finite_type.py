@@ -9,6 +9,7 @@ from .bipartite import (
     cartan_symmetrizer,
     coxeter_data,
     orbit_vector,
+    orbit_vectors,
     reflect,
     tau_action,
     tracked,
@@ -133,7 +134,7 @@ def fibonacci_polynomials(B, m_range=None):
     for m in range(m_range[0], m_range[1] + 1):
         for i in tracked(eps, m):
             F = belt.pattern.state(belt.path(m)).F[i]
-            dv = orbit_vector(A, eps, i, m, tau_action)
+            dv = belt.d_vector(i, m)
             mon = [0] * n
             for j in range(n):
                 if eps[j] == 1:
@@ -169,12 +170,13 @@ def fibonacci_recurrence_check(B, fib=None, m_range=None):
     by_root = fib["by_root"]
     n = len(A)
     yvars = tuple("y%d" % (i + 1) for i in range(n))
+    d_vector = orbit_vectors(A, eps, tau_action)
     checked = 0
     for (j, m1), entry in sorted(fib["table"].items()):
         m = m1 + 1  # entry holds d(j;m-1) = tau+ alpha
         if j - 1 not in tracked(eps, m - 1):
             continue
-        alpha = orbit_vector(A, eps, j - 1, -m - 1, tau_action)
+        alpha = d_vector(j - 1, -m - 1)
         dmin = entry["d"]
         if tau_action(A, eps, 1, alpha) != dmin:
             raise CrossCheckFailure("tau+ alpha mismatch")
@@ -186,7 +188,7 @@ def fibonacci_recurrence_check(B, fib=None, m_range=None):
         for i in range(1, n + 1):
             if i == j or not A[i - 1][j - 1]:
                 continue
-            di = orbit_vector(A, eps, i - 1, m, tau_action)
+            di = d_vector(i - 1, m)
             if di not in by_root:
                 ok = False
                 break
@@ -350,11 +352,12 @@ def _belt_primitive_map(U):
     """Generator -> (j, m) belt relation with {beta, beta'} = {tau+ a, tau- a}."""
     A, eps, h = U["A"], U["eps"], U["h"]
     coroot_of = {r: i for i, r in enumerate(U["gen_roots"])}
+    d_vector = orbit_vectors(A, eps, tau_action)
     assign = {}
     for m in range(0, 2 * (h + 2)):
         for j in tracked(eps, m - 1):
-            dprev = orbit_vector(A, eps, j, m - 1, tau_action)
-            dnext = orbit_vector(A, eps, j, m + 1, tau_action)
+            dprev = d_vector(j, m - 1)
+            dnext = d_vector(j, m + 1)
             alpha = tau_action(A, eps, 1, dprev)
             if tau_action(A, eps, -1, dnext) != alpha:
                 raise CrossCheckFailure("tau+/tau- belt labels disagree")

@@ -17,9 +17,8 @@ X_k' and checks it against its own recurrence by one product, and keeps
 the result in its exchange table.  The two g-vector recurrences, whose
 agreement is degree consistency, read only what the table's key fixes,
 because every stored g is the multidegree of its X; they run against the
-multidegree once in each direction of a relation, when it is recorded.
-The labeled route of conjecture_suite on A4 and D4 makes 940 runs for
-14,787 steps, the route over relabeling classes 940 runs for 2,113 steps.
+multidegree once in each direction of a relation, when it is recorded,
+however many steps cross it.
 """
 
 from __future__ import annotations
@@ -535,6 +534,12 @@ def enumerate_pattern(B0, max_seeds=500, max_depth=None):
     computed once.
     """
     pat = PrincipalPattern(B0)
+    return (pat, *_enumerate(pat, max_seeds, max_depth))
+
+
+def _enumerate(pat, max_seeds, max_depth):
+    """(seen, complete) of enumerate_pattern, walked on pat, whose states
+    already computed are read, not computed again."""
     n = pat.n
     seen = {}
     back = {(): set()}
@@ -563,7 +568,7 @@ def enumerate_pattern(B0, max_seeds=500, max_depth=None):
                 back[p2] = {k}
                 nxt.append(p2)
         frontier = nxt
-    return pat, seen, complete
+    return seen, complete
 
 
 def _dominating_term(F):
@@ -625,41 +630,44 @@ def conjecture_suite(
     belt) instead of enumerating the whole pattern.  A full enumeration
     audits one seed per relabeling class where that route finishes clean
     (see _class_suite); otherwise the labeled route runs, so a partial
-    report and every violation text name labeled paths."""
+    report and every violation text name labeled paths.  Both routes walk
+    the same patterns, so a labeled route after the class walk reads the
+    states that walk computed."""
     B0 = matrix(B0)
+    patterns = _patterns(B0, transition_checks)
     if paths is None and max_depth is None:
-        report = _class_suite(B0, max_seeds, transition_checks)
+        report = _class_suite(B0, max_seeds, transition_checks, patterns)
         if report is not None:
             return report
-    return _labeled_suite(B0, max_seeds, max_depth, transition_checks, paths)
+    return _labeled_suite(B0, max_seeds, max_depth, transition_checks, paths, patterns)
 
 
 def _labeled_suite(
-    B0, max_seeds=500, max_depth=None, transition_checks=True, paths=None
+    B0, max_seeds=500, max_depth=None, transition_checks=True, paths=None,
+    patterns=None,
 ):
     """conjecture_suite on every labeled seed of the enumeration, or on
-    the vertices of paths."""
+    the vertices of paths; patterns as from _patterns, built when None."""
+    pat, negpat, mutated = patterns or _patterns(B0, transition_checks)
     if paths is not None:
-        pat = PrincipalPattern(B0)
         seen = [tuple(p) for p in paths]
         complete = False
     else:
-        pat, seen, complete = enumerate_pattern(B0, max_seeds, max_depth)
+        seen, complete = _enumerate(pat, max_seeds, max_depth)
         seen = list(seen.values())
-    negpat, mutated = _suite_patterns(pat, transition_checks)
     violations, non_monomial, failed = _audit(pat, negpat, mutated, seen)
     return _report(
         complete, len(seen), pat.n, non_monomial, failed, violations, transition_checks
     )
 
 
-def _class_suite(B0, max_seeds, transition_checks):
+def _class_suite(B0, max_seeds, transition_checks, patterns=None):
     """conjecture_suite on one seed per relabeling class (see
     _relabeling_classes), every instance count times |G|; None, for the
     labeled route to run, when classes * |G| exceeds max_seeds or a
-    representative shows a violation or raises CrossCheckFailure."""
-    pat = PrincipalPattern(B0)
-    negpat, mutated = _suite_patterns(pat, transition_checks)
+    representative shows a violation or raises CrossCheckFailure.
+    patterns as from _patterns, built when None."""
+    pat, negpat, mutated = patterns or _patterns(B0, transition_checks)
     try:
         walked = _relabeling_classes(pat, negpat, mutated, max_seeds)
         if walked is None:
@@ -673,6 +681,12 @@ def _class_suite(B0, max_seeds, transition_checks):
     return _report(
         True, len(reps) * order, pat.n, non_monomial * order, 0, {}, transition_checks
     )
+
+
+def _patterns(B0, transition_checks):
+    """(pattern of B0, then _suite_patterns of it): what the audit walks."""
+    pat = PrincipalPattern(B0)
+    return (pat, *_suite_patterns(pat, transition_checks))
 
 
 def _suite_patterns(pat, transition_checks):

@@ -45,8 +45,9 @@ def distinct_reference(belt, cap):
     """The text-comparison route for the infinite-type branch of
     `periodicity_check`: the tracked x_{i;m} and Y_{i;m}, m = 0..cap, by
     canonical text, Y after gcd-free simplification.  Texts of equal Y can
-    differ, so this route can miss a repeat; kept as the oracle the residue
-    route must agree with."""
+    differ, so this route can miss a repeat; kept as the oracle that
+    `belt_distinct`, which keys x by g-vector and Y by c-vector, must agree
+    with."""
     seen_x = {}
     seen_y = {}
     eps = belt.eps

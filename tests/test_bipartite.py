@@ -1,10 +1,9 @@
 """Bipartite belts, piecewise-linear orbits, and Y-system dynamics."""
 
 from fractions import Fraction
-from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clusteralg.belt_modp as belt_modp
@@ -260,7 +259,7 @@ def test_periodicity_check_rejects_an_unknown_mode():
             periodicity_check(B, mode="bogus")
 
 
-# -- the residue route of the non-repetition certificate ------------------
+# -- the key route of the non-repetition certificate ----------------------
 
 # a bipartite rank-3 matrix of infinite type
 INFINITE3 = ((0, 2, 1), (-2, 0, 0), (-1, 0, 0))
@@ -269,44 +268,53 @@ RANK2_INFINITE = [
 ]
 
 
-def _value(poly, point, p):
-    """The Laurent polynomial poly at point, mod p."""
-    return sum(
-        c * prod(pow(v, e, p) for v, e in zip(point, exps))
-        for exps, c in poly.terms.items()
-    ) % p
+def _counting_exact_reads(monkeypatch):
+    """The m of every exact read of a tracked value, Belt.x_im and
+    Belt.y_universal being wrapped to record it."""
+    reads = []
+    x_im, y_universal = Belt.x_im, Belt.y_universal
+    monkeypatch.setattr(
+        Belt, "x_im", lambda self, i, m: reads.append(m) or x_im(self, i, m)
+    )
+    monkeypatch.setattr(
+        Belt,
+        "y_universal",
+        lambda self, j, m: reads.append(m) or y_universal(self, j, m),
+    )
+    return reads
 
 
-def _assert_residues_are_values(B, cap, p):
-    belt = Belt(B)
-    xs, ys = belt_modp._point(belt.n)
-    residues = belt_modp.belt_residues(belt, cap, p)
-    assert [(i, m) for _, i, m, _ in residues] == [
-        (i, m) for m in range(cap + 1) for i in range(1, belt.n + 1)
-    ]
-    for kind, i, m, r in residues:
-        if kind == "x":
-            assert r == _value(belt.x_im(i, m), xs + ys, p)
-        else:
-            Y = belt.y_universal(i, m)
-            assert r == _value(Y.num, ys, p) * pow(_value(Y.den, ys, p), -1, p) % p
-
-
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(RANK2_INFINITE),
-    st.integers(0, 5),
-    st.sampled_from(belt_modp._PRIMES[:3]),
+    st.sampled_from([rank2_matrix(*bc) for bc in RANK2_INFINITE] + [INFINITE3]),
+    st.integers(0, 40),
 )
-def test_residues_are_the_exact_values_at_the_point(bc, cap, p):
-    _assert_residues_are_values(rank2_matrix(*bc), cap, p)
-
-
-def test_residues_are_the_exact_values_at_the_point_in_rank_3():
-    A, _ = cartan_counterpart_and_sign(INFINITE3)
+@example(INFINITE3, 40)
+def test_an_infinite_type_is_certified_without_an_exact_comparison(B, cap):
+    # g- and c-vectors never collide on these belts, so no value is built
+    A, _ = cartan_counterpart_and_sign(B)
     assert not coxeter_data(A)["finite_type"]
-    _assert_residues_are_values(INFINITE3, 5, belt_modp._PRIMES[0])
-    assert periodicity_check(INFINITE3, cap=40) == {"finite": False, "no_period_up_to": 40}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reads = _counting_exact_reads(monkeypatch)
+        out = periodicity_check(B, cap=cap)
+    assert out == {"finite": False, "no_period_up_to": cap}
+    assert reads == []
+
+
+@pytest.mark.parametrize(
+    "B, cap",
+    [(named_matrix("A3"), 8), (named_matrix("G2"), 8), (rank2_matrix(2, 2), 8),
+     (rank2_matrix(2, 3), 5), (INFINITE3, 4)],
+    ids=["A3", "G2", "rank2-2-2", "rank2-2-3", "rank3"],
+)
+def test_the_keys_are_the_g_and_c_vectors_of_the_pattern(B, cap):
+    # the walk's keys against the memoized pattern's multidegrees and matrix
+    belt = Belt(B)
+    for kind, i, m, key in bipartite._belt_keys(belt, cap):
+        if kind == "x":
+            assert key == belt.pattern.g_value(belt.path(m), i)
+        else:
+            assert key == belt.c_vector(i, m)
 
 
 @pytest.mark.parametrize(
@@ -315,15 +323,18 @@ def test_residues_are_the_exact_values_at_the_point_in_rank_3():
         (A2, "y", (1, 5), (2, 0)),
         (((0, -1), (1, 0)), "x", (1, 5), (2, 0)),
         (named_matrix("B2"), "x", (1, 6), (1, 0)),
+        (named_matrix("A3"), "x", (1, 6), (3, 0)),
+        (named_matrix("D4"), "x", (1, 8), (1, 0)),
+        (named_matrix("G2"), "x", (1, 8), (1, 0)),
     ],
-    ids=["A2", "A2-relabeled", "B2"],
+    ids=["A2", "A2-relabeled", "B2", "A3", "D4", "G2"],
 )
 def test_the_distinctness_step_finds_the_real_repeat_of_a_finite_type(
     B, kind, later, earlier
 ):
     # past the period the belt repeats; both routes name the same first repeat
     message = "%s repeats: (%d;%d) vs %s" % (kind, *later, earlier)
-    for route in (belt_modp.belt_distinct, distinct_reference):
+    for route in (bipartite.belt_distinct, distinct_reference):
         with pytest.raises(CrossCheckFailure) as exc:
             route(Belt(B), 12)
         assert str(exc.value) == message
@@ -339,76 +350,32 @@ def test_the_residue_route_gives_the_oracle_report(bc):
 
 
 def test_equal_residues_are_confirmed_exactly(monkeypatch):
-    residues = belt_modp.belt_residues
+    # every x and every Y given one key: each pair of one kind is compared
+    keys = bipartite._belt_keys
     monkeypatch.setattr(
-        belt_modp,
-        "belt_residues",
-        lambda belt, cap, p: [(k, i, m, 0) for k, i, m, _ in residues(belt, cap, p)],
+        bipartite,
+        "_belt_keys",
+        lambda belt, cap: ((k, i, m, ()) for k, i, m, _ in keys(belt, cap)),
     )
-    compared = []
-    x_im, y_universal = Belt.x_im, Belt.y_universal
-    monkeypatch.setattr(
-        Belt, "x_im", lambda self, i, m: compared.append(m) or x_im(self, i, m)
-    )
-    monkeypatch.setattr(
-        Belt,
-        "y_universal",
-        lambda self, j, m: compared.append(m) or y_universal(self, j, m),
-    )
+    compared = _counting_exact_reads(monkeypatch)
     out = periodicity_check(rank2_matrix(2, 2), cap=8)
     assert out == {"finite": False, "no_period_up_to": 8}
     # 9 x and 9 y values, every pair of one kind compared: two reads a pair
     assert len(compared) == 2 * 2 * (9 * 8 // 2)
 
 
-def test_a_zero_divisor_moves_the_walk_to_the_next_prime(monkeypatch):
-    inverse = belt_modp._inverse
-    primes = []
+def test_a_corrupted_walk_matrix_fails_the_g_recurrence(monkeypatch):
+    # one more y_1 in every c-vector: the two g routes then disagree
+    mutate_matrix = bipartite.mutate_matrix
 
-    def vanishes_once(v, p):
-        primes.append(p)
-        if len(primes) == 1:
-            raise ZeroDivisionError("a divisor is 0 modulo %d" % p)
-        return inverse(v, p)
+    def corrupted(M, k):
+        out = mutate_matrix(M, k)
+        n = len(out[0])
+        return out[:n] + (tuple(v + 1 for v in out[n]),) + out[n + 1 :]
 
-    monkeypatch.setattr(belt_modp, "_inverse", vanishes_once)
-    out = periodicity_check(rank2_matrix(2, 2), cap=10)
-    assert out == {"finite": False, "no_period_up_to": 10}
-    assert primes[0] == belt_modp._PRIMES[0]
-    assert set(primes[1:]) == {belt_modp._PRIMES[1]}
-
-
-def test_a_zero_divisor_at_every_prime_is_one_arithmetic_error(monkeypatch):
-    def vanishes(v, p):
-        raise ZeroDivisionError("a divisor is 0 modulo %d" % p)
-
-    monkeypatch.setattr(belt_modp, "_inverse", vanishes)
-    with pytest.raises(ArithmeticError) as exc:
-        periodicity_check(rank2_matrix(2, 2), cap=10)
-    assert type(exc.value) is ArithmeticError
-    assert len(str(exc.value).splitlines()) == 1
-
-
-def test_a_wrong_g_vector_fails_the_x_cross_check(monkeypatch):
-    g_recurrence = belt_modp.g_recurrence
-    monkeypatch.setattr(
-        belt_modp,
-        "g_recurrence",
-        lambda *a: tuple(v + 1 for v in g_recurrence(*a)),
-    )
-    with pytest.raises(CrossCheckFailure, match="x\\^g F\\(yhat\\)"):
-        periodicity_check(rank2_matrix(2, 2), cap=4)
-
-
-def test_a_wrong_y_mutation_fails_the_y_cross_check(monkeypatch):
-    mutate_y = belt_modp._mutate_y
-    monkeypatch.setattr(
-        belt_modp,
-        "_mutate_y",
-        lambda Y, row, kk, p: [2 * y % p for y in mutate_y(Y, row, kk, p)],
-    )
-    with pytest.raises(CrossCheckFailure, match="y\\^c prod F\\^b"):
-        periodicity_check(rank2_matrix(2, 2), cap=4)
+    monkeypatch.setattr(bipartite, "mutate_matrix", corrupted)
+    with pytest.raises(CrossCheckFailure, match="g-vector recurrences disagree"):
+        periodicity_check(rank2_matrix(2, 2))
 
 
 from rank2_forms import rank2_y13_closed_form

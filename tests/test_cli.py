@@ -111,6 +111,21 @@ def test_ysystem_command(run_cli):
     assert "y[1;3]" in out.stdout
 
 
+def test_ysystem_initial_ones_is_numeric_and_refuses_the_tropical_semifield(run_cli):
+    numeric = "y[1;-1] = 1\ny[2;0] = 1\ny[1;1] = 8\ny[2;2] = 9\ny[1;3] = 125\ny[2;4] = 14\n"
+    for semifield in ((), ("--semifield", "numeric"), ("--semifield", "universal")):
+        out = run_cli("ysystem", "--type", "G2", "--steps", "4", "--initial", "ones", *semifield)
+        assert out.stdout == numeric
+    out = run_cli(
+        "ysystem", "--type", "G2", "--steps", "4", "--initial", "ones",
+        "--semifield", "trop", check=False,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("usage error: ")
+
+
 def test_ysystem_folds_a_monomial_denominator_left_by_hint_division(run_cli):
     out = run_cli("ysystem", "--type", "A4", "--steps", "8").stdout
     assert "y[3;7] = u2\n" in out

@@ -12,11 +12,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
-# bipartite imports belt_modp, which imports bipartite, inside the two
-# functions that use it: a module-level import would be a cycle
+# bipartite imports belt_modp, which imports bipartite, inside the one
+# function that uses it: a module-level import would be a cycle
 CYCLE_BREAKERS = {
     ("src/clusteralg/bipartite.py", "belt_modp", "belt_table"),
-    ("src/clusteralg/bipartite.py", "belt_modp", "belt_distinct"),
 }
 
 
@@ -67,6 +66,15 @@ def test_no_function_level_imports(path):
     assert [f for f in found if (rel,) + f[1:] not in CYCLE_BREAKERS] == []
 
 
+def test_every_cycle_breaker_is_a_function_level_import():
+    found = {
+        (path.relative_to(ROOT).as_posix(), module, name)
+        for path in MODULES
+        for _, module, name in function_imports(path.read_text())
+    }
+    assert CYCLE_BREAKERS - found == set()
+
+
 def test_the_scan_finds_a_function_level_import():
     source = (
         "import os\ndef f():\n    def g():\n        from .a import b\n    import json\n"
@@ -97,17 +105,34 @@ def test_every_tracing_target_resolves():
     assert missing == []
 
 
+def _loaded_modules(code):
+    """The clusteralg modules loaded after code runs in a fresh interpreter
+    that imports from src/."""
+    code = (
+        "import sys; sys.path.insert(0, %r)\n%s\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'clusteralg')))"
+    ) % (str(ROOT / "src"), code)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+
+
+def test_the_non_repetition_certificate_does_not_load_belt_modp():
+    loaded = _loaded_modules(
+        "from clusteralg.bipartite import periodicity_check\n"
+        "from clusteralg.mutation import rank2_matrix\n"
+        "periodicity_check(rank2_matrix(2, 2))"
+    )
+    assert "clusteralg.bipartite" in loaded
+    assert "clusteralg.belt_modp" not in loaded
+
+
 def test_the_benchmarked_modules_load_no_other_module():
     # each benchmark child imports these three and compiles what they
     # import, so a new module here is set-up time in every child
-    code = (
-        "import sys; sys.path.insert(0, %r)\n"
-        "import clusteralg.bipartite, clusteralg.exchange_graph, clusteralg.principal\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'clusteralg')))"
-    ) % str(ROOT / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout.split()
+    out = _loaded_modules(
+        "import clusteralg.bipartite, clusteralg.exchange_graph, clusteralg.principal"
+    )
     assert out == [
         "clusteralg",
         "clusteralg.bipartite",
