@@ -16,16 +16,14 @@ from .mutation import (
     bipartite_sign_from_cartan,
     cartan_counterpart_and_sign,
     matrix,
-    mutate_matrix,
     positive_definite,
-    principal_extension,
     tree_symmetrizer,
 )
 from .principal import (
     CrossCheckFailure,
     PrincipalPattern,
     g_mutation_rule,
-    g_recurrence,
+    g_walk,
     seed_signature,
 )
 from .semifield import UniversalSemifield
@@ -400,23 +398,14 @@ def periodicity_check(B, mode="seeds", cap=40):
 def _belt_keys(belt, cap):
     """(kind, i, m, key) for m = 0..cap and i = 1..n, in that order: "x"
     and the g-vector of x_{i;m} where eps(i) = (-1)^m, else "y" and the
-    c-vector of Y_{i;m}, read off one walk of the principal extended matrix.
+    c-vector of Y_{i;m}, read off one g_walk of the principal pattern.
 
-    Each key is a function of its value.  In the grading deg x_i = e_i,
-    deg y_j = -b_j (FZ IV section 6) the two routes of g_recurrence agree
-    only if deg P = deg M, so X_k' = (P + M) / X_k is homogeneous of the
-    degree returned: by induction every g is the degree of its x.  The
-    c-vector is Y's image under Q_sf(y) -> Trop(y)."""
+    Each key is a function of its value: g is the multidegree of x (see
+    g_walk), and the c-vector is Y's image under Q_sf(y) -> Trop(y)."""
     n = belt.n
-    Bt = principal_extension(belt.B)
-    g = tuple(_simple(n, i) for i in range(n))
-    done = 0
+    walk = g_walk(belt.B)
     for m in range(cap + 1):
-        path = belt.path(m)
-        for k in path[done:]:
-            g = g[: k - 1] + (g_recurrence(Bt, g, k, belt.pattern._b0cols),) + g[k:]
-            Bt = mutate_matrix(Bt, k)
-        done = len(path)
+        Bt, g = walk(belt.path(m))
         xs = tracked(belt.eps, m)
         for i in range(n):
             if i in xs:
@@ -466,7 +455,13 @@ def involution_from_boundary(A, eps, h):
 
 
 def belt_verify(B, m_range=None):
-    """d/g theorems, constant terms, and the adjacent-seed g relation."""
+    """d/g theorems, constant terms, and the adjacent-seed g relation.
+
+    x_{i;m}, its d-vector and its g-vector come from the belt's pattern.
+    The adjacent-seed relation is the g-vector mutation rule (FZ IV Conj.
+    7.12) from Sigma_1 = mu_-(Sigma_0), whose exchange matrix is -B, to
+    Sigma_0; the g-vectors with respect to Sigma_1 are read off a g_walk
+    of -B, which builds no cluster variable."""
     B = matrix(B)
     A, eps = cartan_counterpart_and_sign(B)
     cox = coxeter_data(A)
@@ -484,9 +479,9 @@ def belt_verify(B, m_range=None):
         if not ok:
             report["violations"].append(what)
 
-    # fresh pattern seen from the adjacent belt seed Sigma_1 = mu_-(Sigma_0)
+    # g-vectors seen from the adjacent belt seed Sigma_1 = mu_-(Sigma_0)
     B1 = tuple(tuple(-v for v in row) for row in B)
-    pat1 = PrincipalPattern(B1)
+    walk1 = g_walk(B1)
     wminus = belt.mu_minus
     for m in range(m_range[0], m_range[1] + 1):
         for i in tracked(eps, m):
@@ -505,7 +500,7 @@ def belt_verify(B, m_range=None):
             note(ct, "constant-term(%d;%d)" % (i + 1, m))
             # adjacent-seed g relation: Sigma_0 = mu_-(Sigma_1), and mutation
             # at one k of mu_- leaves the column of every other one as it is
-            gp = pat1.g_value(tuple(reversed(wminus)) + belt.path(m), i + 1)
+            gp = walk1(tuple(reversed(wminus)) + belt.path(m))[1][i]
             for k in wminus:
                 gp = g_mutation_rule(B1, k, gp)
             note(g == gp, "g-transition-bipartite(%d;%d)" % (i + 1, m))

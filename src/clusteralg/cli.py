@@ -252,9 +252,8 @@ def f_poly(type_name, matrix_file, rank2, path_text, as_json, out):
 def g_vector(type_name, matrix_file, rank2, path_text, out):
     """g-vectors at the end of a mutation path."""
     B, _ = _load_b(type_name, matrix_file, rank2)
-    pat = PrincipalPattern(B)
-    st = pat.state(_parse_path(path_text))
-    lines = ["g[%d] = %s" % (j + 1, str(st.g[j])) for j in range(pat.n)]
+    _, g = principal.g_walk(B)(_parse_path(path_text))
+    lines = ["g[%d] = %s" % (j + 1, str(gj)) for j, gj in enumerate(g)]
     _emit("\n".join(lines) + "\n", out)
 
 

@@ -8,6 +8,7 @@ of w that leads back to v, and the BFS skips that direction.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import chain, permutations, product
 
 from .laurent import lp_canonical_text
@@ -100,6 +101,30 @@ class _SeedKeys(dict):
             yield _key_bytes(tuple(texts[i] for i in ids), P)
 
 
+class _Keys(Mapping):
+    """Read-only key -> vertex, from an iterator of the keys in vertex
+    order that is run on first read, and its result kept."""
+
+    def __init__(self, serialized):
+        self._serialized = serialized
+        self._keys = None
+
+    def _read(self):
+        if self._keys is None:
+            self._keys = {key: v for v, key in enumerate(self._serialized)}
+            self._serialized = None
+        return self._keys
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+
 def _walk(seeds, cap):
     """BFS over the tuples of seeds reached by mutating all of seeds in the
     same directions, each seed up to relabeling: one seed for the exchange
@@ -156,7 +181,9 @@ def seed_canonical_form(seed):
 
 def build_exchange_graph(seed, cap=10 ** 5):
     """BFS over seeds up to relabeling; returns a dict with vertices,
-    edges, the root key, and a finiteness flag.
+    edges, the root key, and a finiteness flag.  Its "keys", each vertex's
+    key (as seed_canonical_form gives it) -> the vertex, are serialized on
+    first read.
 
     The seeds share seed's tables (see mutate_seed_geometric): each
     exchangeable pair is checked once, and each cluster variable is
@@ -171,7 +198,7 @@ def build_exchange_graph(seed, cap=10 ** 5):
         "root": 0,
         "finite": finite,
         "seeds": {v: ss[0] for v, (ss, _, _) in enumerate(found)},
-        "keys": {key: v for v, key in enumerate(keys.key_bytes(k for (k,) in index))},
+        "keys": _Keys(keys.key_bytes(k for (k,) in index)),
         "cluster_variables": sorted({t for _, (ts,), _ in found for t in ts}),
     }
 

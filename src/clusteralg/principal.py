@@ -120,6 +120,45 @@ def g_mutation_rule(B0, k, g):
     return tuple(out)
 
 
+def g_walk(B0):
+    """path -> (Btilde, g) at the end of path in the principal pattern of
+    B0: its extended matrix, whose bottom rows are the c-vectors, and its
+    g-vectors, from principal_extension(B0) and g_i = e_i by mutate_matrix
+    and g_recurrence alone, with no cluster variable built.
+
+    Each g is the g-vector of its cluster variable.  In the grading
+    deg x_i = e_i, deg y_j = -b0_j (FZ IV section 6) the two routes of
+    g_recurrence agree only if deg P = deg M, so X_k' = (P + M) / X_k is
+    homogeneous of the degree returned: by induction every g is the
+    multidegree of its X.
+
+    Every walked prefix is kept, and a path is walked on from its longest
+    walked prefix.  B0 and each direction are validated as PrincipalPattern
+    validates them, with the same exceptions."""
+    B0 = matrix(B0)
+    skew_symmetrizer(B0)
+    n = len(B0)
+    b0cols = [tuple(row[j] for row in B0) for j in range(n)]
+    g0 = tuple(tuple(1 if i == ell else 0 for i in range(n)) for ell in range(n))
+    walked = {(): (principal_extension(B0), g0)}
+
+    def at(path):
+        path = tuple(path)
+        t = len(path)
+        while path[:t] not in walked:
+            t -= 1
+        Bt, g = walked[path[:t]]
+        for t in range(t, len(path)):
+            k = path[t]
+            Bt2 = mutate_matrix(Bt, k)
+            g = g[: k - 1] + (g_recurrence(Bt, g, k, b0cols),) + g[k:]
+            Bt = Bt2
+            walked[path[: t + 1]] = Bt, g
+        return Bt, g
+
+    return at
+
+
 class PrincipalPattern:
     """Memoized principal-coefficient walk data keyed by path prefix."""
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import clusteralg.belt_modp as belt_modp
 import clusteralg.bipartite as bipartite
+import clusteralg.principal as principal
 from belt_reference import belt_f_reference, distinct_reference, periodicity_reference
 from clusteralg.bipartite import (
     Belt,
@@ -34,7 +35,7 @@ from clusteralg.mutation import (
     named_matrix,
     rank2_matrix,
 )
-from clusteralg.principal import CrossCheckFailure, g_mutation_rule
+from clusteralg.principal import CrossCheckFailure, PrincipalPattern, g_mutation_rule
 from clusteralg.semifield import PositiveRationalSemifield, UniversalSemifield
 
 A2_CARTAN = CARTAN["A2"]
@@ -364,18 +365,83 @@ def test_equal_residues_are_confirmed_exactly(monkeypatch):
     assert len(compared) == 2 * 2 * (9 * 8 // 2)
 
 
-def test_a_corrupted_walk_matrix_fails_the_g_recurrence(monkeypatch):
-    # one more y_1 in every c-vector: the two g routes then disagree
-    mutate_matrix = bipartite.mutate_matrix
+def _corrupt_g_walks(monkeypatch):
+    """Add one y_1 to every c-vector of each g_walk that bipartite starts,
+    and to nothing else: the belt's own pattern mutates unchanged."""
+    mutate_matrix, g_walk = principal.mutate_matrix, principal.g_walk
 
     def corrupted(M, k):
         out = mutate_matrix(M, k)
         n = len(out[0])
         return out[:n] + (tuple(v + 1 for v in out[n]),) + out[n + 1 :]
 
-    monkeypatch.setattr(bipartite, "mutate_matrix", corrupted)
+    def corrupted_walk(B0):
+        walk = g_walk(B0)
+
+        def at(path):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(principal, "mutate_matrix", corrupted)
+                return walk(path)
+
+        return at
+
+    monkeypatch.setattr(bipartite, "g_walk", corrupted_walk)
+
+
+def test_a_corrupted_walk_matrix_fails_the_g_recurrence(monkeypatch):
+    # one more y_1 in every c-vector: the two g routes then disagree
+    _corrupt_g_walks(monkeypatch)
     with pytest.raises(CrossCheckFailure, match="g-vector recurrences disagree"):
         periodicity_check(rank2_matrix(2, 2))
+
+
+def test_a_corrupted_adjacent_walk_matrix_fails_the_g_recurrence(monkeypatch):
+    # the adjacent-seed g-vectors of belt_verify pass the two-route check
+    _corrupt_g_walks(monkeypatch)
+    with pytest.raises(CrossCheckFailure, match="g-vector recurrences disagree"):
+        belt_verify(named_matrix("A3"))
+
+
+# belt_verify's reports where the adjacent-seed g-vectors were read off a
+# second PrincipalPattern, of -B
+BELT_VERIFY_REPORTS = {
+    "A2": 52, "A3": 86, "A4": 128, "B2": 62, "B3": 114, "C3": 114,
+    "D4": 146, "G2": 82, "E6": 366, "A1xA1": 42, "E7": 602,
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n if n != "E7" else pytest.param(n, marks=pytest.mark.slow) for n in BELT_VERIFY_REPORTS],
+)
+def test_belt_verify_reports_are_unchanged(name):
+    report = belt_verify(named_matrix(name))
+    assert report == {"checked": BELT_VERIFY_REPORTS[name], "violations": []}
+
+
+@pytest.mark.parametrize(
+    "bc", [(2, 2), (1, 4), pytest.param((2, 3), marks=pytest.mark.slow)]
+)
+def test_belt_verify_reports_are_unchanged_in_infinite_type(bc):
+    report = belt_verify(rank2_matrix(*bc), m_range=(-6, 8))
+    assert report == {"checked": 75, "violations": []}
+
+
+def test_belt_verify_divides_only_the_belts_own_relations(monkeypatch):
+    # belt_verify, the seeds and the Y-system checks each walk E6's belt
+    # once; the adjacent-seed g-vectors divide nothing
+    calls = []
+    exchange = PrincipalPattern._exchange
+    monkeypatch.setattr(
+        PrincipalPattern, "_exchange", lambda *args: calls.append(1) or exchange(*args)
+    )
+    E6 = named_matrix("E6")
+    belt_verify(E6)
+    assert len(calls) == 42
+    periodicity_check(E6, mode="seeds")
+    periodicity_check(E6, mode="y-system")
+    periodicity_check(rank2_matrix(2, 2), cap=26)
+    assert len(calls) == 126
 
 
 from rank2_forms import rank2_y13_closed_form

@@ -64,6 +64,45 @@ def test_f_poly_json(run_cli):
     assert set(data) == {"F"} and len(data["F"]) == 2
 
 
+def test_g_vector_on_a_long_e8_belt_path(run_cli):
+    # Belt(E8).path(12): 48 mutations; the g-vectors are the ones the
+    # principal pattern's multidegrees gave, in well under a second
+    path = ",".join(["2,4,6,8,1,3,5,7"] * 6)
+    out = run_cli("g-vector", "--type", "E8", "--path", path)
+    assert hashlib.md5(out.stdout.encode()).hexdigest() == (
+        "b5694213ee728e531fdd60c441f86226"
+    )
+    assert out.stdout.splitlines()[0] == "g[1] = (-1, 1, -2, 2, -1, 0, 0, 1)"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--type", "A3", "--path", "1,9"), "mutation direction 9 is not in 1..3"),
+        (("--rank2", "0,3", "--path", "1"), "zero pattern is not symmetric"),
+    ],
+    ids=["direction", "not-skew-symmetrizable"],
+)
+def test_g_vector_usage_errors_name_the_input(run_cli, args, message):
+    out = run_cli("g-vector", *args, check=False)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "usage error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1], [1, 0]], "entries b_ij, b_ji have equal signs"),
+        ([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]], "inconsistent symmetrizer weights"),
+    ],
+    ids=["equal-signs", "inconsistent-weights"],
+)
+def test_g_vector_of_a_matrix_that_is_not_skew_symmetrizable(run_cli, tmp_path, rows, message):
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps({"B": rows}))
+    out = run_cli("g-vector", "--matrix", str(src), "--path", "1", check=False)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "usage error: %s\n" % message)
+
+
 def test_g_vector_and_d_vector(run_cli):
     out = run_cli("g-vector", "--type", "A2", "--path", "2,1")
     assert "(-1, 0)" in out.stdout and "(0, -1)" in out.stdout

@@ -21,6 +21,7 @@ from clusteralg.laurent import (
 )
 from clusteralg.mutation import (
     initial_geometric_seed,
+    mutate_matrix,
     mutate_seed_geometric,
     named_matrix,
     oracle_walk,
@@ -35,6 +36,7 @@ from clusteralg.principal import (
     enumerate_pattern,
     g_recurrence,
     g_transition,
+    g_walk,
     seed_signature,
     separation_evaluate,
     tropical_one_var_eval,
@@ -749,6 +751,65 @@ def test_every_stored_g_vector_is_the_multidegree_of_its_variable(name):
     assert complete
     for state in pat._states.values():
         assert state.g == tuple(pat._multidegree(X) for X in state.X)
+
+
+# one exchange matrix of each finite type of rank 2-4, and two affine ones
+BOUNDED_TYPES = [
+    named_matrix(name) for name in ("A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4")
+] + [rank2_matrix(2, 2), rank2_matrix(1, 4)]
+
+
+@st.composite
+def matrices_and_paths(draw):
+    """A relabeled exchange matrix of BOUNDED_TYPES mutated along a path of
+    length 0-4, so that F-polynomials stay small, and a mutation path of
+    length 0-8."""
+    B = draw(st.sampled_from(BOUNDED_TYPES))
+    n = len(B)
+    sigma = draw(st.permutations(range(n)))
+    B = tuple(tuple(B[i][j] for j in sigma) for i in sigma)
+    for k in draw(st.lists(st.integers(1, n), max_size=4)):
+        B = mutate_matrix(B, k)
+    return B, tuple(draw(st.lists(st.integers(1, n), max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices_and_paths())
+def test_g_walk_reads_the_patterns_g_and_c_vectors(case):
+    B0, path = case
+    n = len(B0)
+    walk, pat = g_walk(B0), PrincipalPattern(B0)
+    # the whole path first, then each prefix from the kept walk
+    for t in (len(path), *range(len(path))):
+        Bt, g = walk(path[:t])
+        st_ = pat.state(path[:t])
+        assert g == st_.g
+        assert [tuple(row[j] for row in Bt[n:]) for j in range(n)] == [
+            st_.c_vector(j + 1) for j in range(n)
+        ]
+
+
+@pytest.mark.parametrize(
+    "B0, path",
+    [
+        (((0, 1), (1, 0)), ()),
+        (((0, 1, 1), (-1, 0, 1), (-2, -1, 0)), ()),
+        (((0, 1, 0), (-1, 0, 1)), ()),
+        (A2, (1, 3)),
+        (A2, (2, 0)),
+        (A2, (-1,)),
+    ],
+    ids=["equal-signs", "inconsistent", "not-square", "above", "zero", "negative"],
+)
+def test_g_walk_rejects_what_the_pattern_rejects(B0, path):
+    def raised(f):
+        with pytest.raises(ValueError) as exc:
+            f()
+        return type(exc.value), str(exc.value)
+
+    assert raised(lambda: g_walk(B0)(path)) == raised(
+        lambda: PrincipalPattern(B0).state(path)
+    )
 
 
 def test_the_g_recurrence_runs_twice_per_recorded_relation(monkeypatch):
