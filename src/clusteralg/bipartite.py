@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from .laurent import (
     _P61,
     LaurentPolynomial,
@@ -155,7 +157,10 @@ def coxeter_data(A):
 
 
 class Belt:
-    """Principal-coefficient bipartite belt built on a memoized pattern."""
+    """Principal-coefficient bipartite belt built on a memoized pattern.
+
+    Belt(B) builds a private belt; the top-level belt readers share one
+    through `belt_of`."""
 
     def __init__(self, B):
         B = matrix(B)
@@ -171,6 +176,11 @@ class Belt:
         self.d_vector = orbit_vectors(A, eps, tau_action)
         self.mu_minus = tuple(k + 1 for k in tracked(eps, 1))
         self._paths = {0: ()}
+
+    @functools.cached_property
+    def cox(self):
+        """coxeter_data(A), computed on first read."""
+        return coxeter_data(self.A)
 
     def path(self, m):
         """Tree path from the initial vertex to the belt seed at index m;
@@ -247,9 +257,33 @@ class Belt:
             raise CrossCheckFailure("tropical y formula fails at j=%d m=%d" % (j, m))
 
 
+_shared_belt = functools.lru_cache(maxsize=1)(Belt)
+
+
+def belt_of(B):
+    """The belt of B shared within the process: Belt(matrix(B)) for the most
+    recently requested matrix, so consecutive readers of one B walk one
+    pattern and only one belt is held.  There is no lock: the library is
+    single-threaded.
+
+    Sharing is sound because the pattern runs every check of a relation
+    before it records it, so a failed relation is never kept and fails
+    again when read again.  A failed construction is not kept either."""
+    return _shared_belt(matrix(B))
+
+
+def _coxeter_first(B):
+    """(A, eps, coxeter_data(A)) of B = matrix(B), read off the shared belt
+    when B is bipartite.  Otherwise coxeter_data runs here, so its errors,
+    and a missing m_range, still come before belt_of's NotBipartite."""
+    A, eps = cartan_counterpart_and_sign(B)
+    return A, eps, coxeter_data(A) if eps is None else belt_of(B).cox
+
+
 def belt_walk(B, m_range, verify=True):
-    """Build belt seeds over an inclusive index range with invariant checks."""
-    belt = Belt(B)
+    """Build belt seeds over an inclusive index range with invariant checks,
+    on the shared belt (`belt_of`)."""
+    belt = belt_of(B)
     lo, hi = m_range
     for m in range(0, hi + 1):
         belt.state(m)
@@ -334,7 +368,7 @@ def _belt_y_values(A, eps, steps, vals):
     prod_i (y_{i;m-1} + 1)^{-a_ij}, cross-multiplied, modulo 2^61 - 1 at
     the point `laurent._fingerprint` uses: a wrong value passes only if the
     difference of the two sides vanishes there (Schwartz-Zippel)."""
-    belt = Belt(bipartite_matrix_from_cartan(A, eps))
+    belt = belt_of(bipartite_matrix_from_cartan(A, eps))
     if belt.A != A or belt.eps != tuple(eps):
         raise ValueError("eps is not the bipartite sign of the belt of A")
     mapping, fps = {}, {}
@@ -361,15 +395,19 @@ def _belt_y_values(A, eps, steps, vals):
 
 def periodicity_check(B, mode="seeds", cap=40):
     """Finite type: exact period dividing 2(h+2); infinite type: pairwise
-    distinctness of the tracked family up to cap (see `belt_distinct`)."""
+    distinctness of the tracked family up to cap (see `belt_distinct`).
+
+    Reads the shared belt of B (`belt_of`) and its Coxeter data, so calls
+    on one B after belt_verify or each other build no pattern again; every
+    comparison below runs on every call."""
     if mode not in ("seeds", "y-system"):
         raise ValueError("mode must be seeds or y-system")
     B = matrix(B)
-    A, eps = cartan_counterpart_and_sign(B)
+    eps = cartan_counterpart_and_sign(B)[1]
     if eps is None:
         raise NotBipartite("periodicity check needs a bipartite matrix")
-    cox = coxeter_data(A)
-    belt = Belt(B)
+    belt = belt_of(B)
+    cox = belt.cox
     if cox["finite_type"]:
         h = cox["h"]
         period = 2 * (h + 2)
@@ -461,16 +499,19 @@ def belt_verify(B, m_range=None):
     The adjacent-seed relation is the g-vector mutation rule (FZ IV Conj.
     7.12) from Sigma_1 = mu_-(Sigma_0), whose exchange matrix is -B, to
     Sigma_0; the g-vectors with respect to Sigma_1 are read off a g_walk
-    of -B, which builds no cluster variable."""
+    of -B, which builds no cluster variable.
+
+    The belt and its Coxeter data are B's shared ones (`belt_of`), so a
+    periodicity_check of B after this call divides no relation again;
+    every check below runs on every call."""
     B = matrix(B)
-    A, eps = cartan_counterpart_and_sign(B)
-    cox = coxeter_data(A)
+    A, eps, cox = _coxeter_first(B)
     if m_range is None:
         if not cox["finite_type"]:
             raise ValueError("m_range required for infinite type")
         h = cox["h"]
         m_range = (-h - 2, h + 1)
-    belt = Belt(B)
+    belt = belt_of(B)
     n = belt.n
     report = {"checked": 0, "violations": []}
 

@@ -335,11 +335,11 @@ def graph(type_name, matrix_file, rank2, coeffs, cap, as_json, out):
 def belt(type_name, matrix_file, rank2, range_text, verify, out):
     """Bipartite-belt seeds over an index range, with invariant checks."""
     B, _ = _load_b(type_name, matrix_file, rank2)
-    A, eps = bipartite.cartan_counterpart_and_sign(B)
+    eps = bipartite.cartan_counterpart_and_sign(B)[1]
     if eps is None:
         raise UsageError("no bipartite belt: the exchange matrix is not bipartite")
     if range_text is None:
-        h = bipartite.coxeter_data(A)["h"]
+        h = bipartite.belt_of(B).cox["h"]
         if h is None:
             raise UsageError("--range required for infinite type")
         m_range = (-h - 2, h + 1)

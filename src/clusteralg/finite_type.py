@@ -4,8 +4,9 @@ coefficient specializations for finite-type exchange matrices."""
 from __future__ import annotations
 
 from .bipartite import (
-    Belt,
+    _coxeter_first,
     _positive_roots,
+    belt_of,
     cartan_symmetrizer,
     coxeter_data,
     orbit_vector,
@@ -118,15 +119,15 @@ def _e_plus(p, eps):
 
 def fibonacci_polynomials(B, m_range=None):
     """Belt F-polynomials, their variable-inverted forms, and the root
-    labeling F[alpha]; every defining identity is re-verified."""
+    labeling F[alpha], on the shared belt of B (`bipartite.belt_of`);
+    every defining identity is re-verified."""
     B = matrix(B)
-    A, eps = cartan_counterpart_and_sign(B)
-    cox = coxeter_data(A)
+    A, eps, cox = _coxeter_first(B)
     if m_range is None:
         if not cox["finite_type"]:
             raise NotFiniteType("m_range required for infinite type")
         m_range = (0, 2 * (cox["h"] + 2) - 1)
-    belt = Belt(B)
+    belt = belt_of(B)
     n = belt.n
     yvars = belt.pattern.yvars
     table = {}

@@ -1,5 +1,7 @@
 """Bipartite belts, piecewise-linear orbits, and Y-system dynamics."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 import clusteralg.belt_modp as belt_modp
 import clusteralg.bipartite as bipartite
+import clusteralg.finite_type as finite_type
 import clusteralg.principal as principal
 from belt_reference import belt_f_reference, distinct_reference, periodicity_reference
 from clusteralg.bipartite import (
     Belt,
     NotBipartite,
     belt_f_recurrence,
+    belt_of,
     belt_verify,
     belt_walk,
     coxeter_data,
@@ -26,6 +30,7 @@ from clusteralg.bipartite import (
     tracked,
     y_system_solve,
 )
+from clusteralg.finite_type import fibonacci_polynomials
 from clusteralg.laurent import RationalExpression, lp_denominator_vector, lp_parse
 from clusteralg.mutation import (
     CARTAN,
@@ -427,21 +432,173 @@ def test_belt_verify_reports_are_unchanged_in_infinite_type(bc):
     assert report == {"checked": 75, "violations": []}
 
 
-def test_belt_verify_divides_only_the_belts_own_relations(monkeypatch):
-    # belt_verify, the seeds and the Y-system checks each walk E6's belt
-    # once; the adjacent-seed g-vectors divide nothing
-    calls = []
-    exchange = PrincipalPattern._exchange
+def test_belt_verify_divides_only_the_belts_own_relations(monkeypatch, fresh_belt):
+    # belt_verify walks E6's shared belt and the seeds and Y-system checks
+    # read it again: 42 relations divided, one Coxeter order searched. The
+    # adjacent-seed g-vectors and rank2(2,2)'s certificate divide nothing
+    calls, searched = [], []
+    exchange, coxeter = PrincipalPattern._exchange, bipartite.coxeter_data
     monkeypatch.setattr(
         PrincipalPattern, "_exchange", lambda *args: calls.append(1) or exchange(*args)
     )
+    monkeypatch.setattr(bipartite, "coxeter_data", lambda A: searched.append(A) or coxeter(A))
     E6 = named_matrix("E6")
     belt_verify(E6)
-    assert len(calls) == 42
+    assert (len(calls), len(searched)) == (42, 1)
     periodicity_check(E6, mode="seeds")
     periodicity_check(E6, mode="y-system")
+    assert (len(calls), len(searched)) == (42, 1)
     periodicity_check(rank2_matrix(2, 2), cap=26)
-    assert len(calls) == 126
+    assert (len(calls), len(searched)) == (42, 2)
+
+
+# -- the shared belt ------------------------------------------------------
+
+
+def _belt_entry_points(B):
+    """name -> call of each top-level belt reader on B: finite types on their
+    default ranges, rank 2 on explicit ones."""
+    A = cartan_counterpart_and_sign(B)[0]
+    U = UniversalSemifield(tuple("u%d" % (i + 1) for i in range(len(A))))
+    finite = coxeter_data(A)["finite_type"]
+    m_range = None if finite else (-6, 8)
+    return {
+        "belt_verify": lambda: belt_verify(B, m_range=m_range),
+        "seeds": lambda: periodicity_check(B, mode="seeds", cap=12),
+        "y-system": lambda: periodicity_check(B, mode="y-system", cap=12),
+        "fibonacci": lambda: fibonacci_polynomials(B, None if finite else (0, 8)),
+        "universal-y": lambda: y_system_solve(A, U, steps=8),
+    }
+
+
+SHARED_BELT_TYPES = {
+    **{name: named_matrix(name) for name in ("A3", "B3", "D4", "G2", "E6")},
+    "rank2-2-2": rank2_matrix(2, 2),
+    "rank2-1-4": rank2_matrix(1, 4),
+}
+
+
+@pytest.mark.parametrize("B", SHARED_BELT_TYPES.values(), ids=SHARED_BELT_TYPES.keys())
+def test_a_warm_shared_belt_gives_the_cold_results(monkeypatch, fresh_belt, B):
+    calls = _belt_entry_points(B)
+    names = list(calls)
+    cold, warm = {}, {}
+    for name in names:
+        bipartite._shared_belt.cache_clear()
+        cold[name] = calls[name]()
+    for at, name in enumerate(names):
+        # warmed by another entry point, whose belt the call then reads
+        bipartite._shared_belt.cache_clear()
+        calls[names[at - 1]]()
+        shared = belt_of(B)
+        warm[name] = calls[name]()
+        assert belt_of(B) is shared, name
+    assert warm == cold
+    # each call on a private Belt(B), as every call built one before
+    for module in (bipartite, finite_type):
+        monkeypatch.setattr(module, "belt_of", lambda B: Belt(B))
+    assert {name: calls[name]() for name in names} == cold
+
+
+@pytest.mark.parametrize("entry", ["belt_verify", "seeds"])
+def test_a_failed_relation_is_not_kept_by_the_shared_belt(monkeypatch, fresh_belt, entry):
+    # the fifth g-recurrence check fails, the forward one of the third
+    # relation divided: a second call re-reads the two relations kept and
+    # divides and checks the third again
+    call = _belt_entry_points(named_matrix("A3"))[entry]
+    cold = call()
+    bipartite._shared_belt.cache_clear()
+    check_g = PrincipalPattern._check_g
+    seen, checked = [], []
+
+    def failing_fifth(self, Bt, g, k, deg):
+        checked.append((Bt, g, k))
+        if (Bt, g, k) not in seen:
+            seen.append((Bt, g, k))
+        if seen.index((Bt, g, k)) == 4:
+            raise CrossCheckFailure("injected at the fifth check")
+        return check_g(self, Bt, g, k, deg)
+
+    monkeypatch.setattr(PrincipalPattern, "_check_g", failing_fifth)
+    for expected_checks in (5, 1):
+        checked.clear()
+        with pytest.raises(CrossCheckFailure, match="fifth check"):
+            call()
+        assert len(checked) == expected_checks
+    shared = belt_of(named_matrix("A3"))
+    monkeypatch.undo()
+    assert call() == cold
+    assert belt_of(named_matrix("A3")) is shared
+
+
+def test_the_shared_belt_holds_the_last_matrix_only(fresh_belt):
+    E6 = named_matrix("E6")
+    periodicity_check(E6)
+    ref = weakref.ref(belt_of(E6))
+    gc.collect()
+    assert ref() is not None
+    belt_verify(named_matrix("A3"))
+    gc.collect()
+    assert ref() is None
+
+
+NB, VE = "NotBipartite", "ValueError"
+NO_M_RANGE = "m_range required for infinite type"
+NOT_BELT = (NB, "exchange matrix is not bipartite")
+NOT_PERIODIC = (NB, "periodicity check needs a bipartite matrix")
+# B -> what belt_verify (without, then with an m_range), periodicity_check
+# (seeds, then y-system) and fibonacci_polynomials return or raise, as
+# before the belt was shared
+BELT_INPUT_ERRORS = {
+    "equal-signs": (
+        ((0, 1), (1, 0)),
+        [("NotSkewSymmetrizable", "entries b_ij, b_ji have equal signs")] * 5,
+    ),
+    "three-cycle": (
+        ((0, 1, -1), (-1, 0, 1), (1, -1, 0)),
+        [(VE, "Coxeter graph is not bipartite")] * 2
+        + [NOT_PERIODIC] * 2
+        + [(VE, "Coxeter graph is not bipartite")],
+    ),
+    "linear-A3": (
+        ((0, 1, 0), (-1, 0, 1), (0, -1, 0)),
+        [NOT_BELT] * 2 + [NOT_PERIODIC] * 2 + [NOT_BELT],
+    ),
+    "linear-affine": (
+        ((0, 2, 0), (-2, 0, 2), (0, -2, 0)),
+        [(VE, NO_M_RANGE), NOT_BELT] + [NOT_PERIODIC] * 2 + [("NotFiniteType", NO_M_RANGE)],
+    ),
+    "rank2-2-2": (
+        rank2_matrix(2, 2),
+        [(VE, NO_M_RANGE), ("ok", {"checked": 30, "violations": []})]
+        + [("ok", {"finite": False, "no_period_up_to": 4})] * 2
+        + [("NotFiniteType", NO_M_RANGE)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "B, outcomes", BELT_INPUT_ERRORS.values(), ids=BELT_INPUT_ERRORS.keys()
+)
+def test_belt_readers_fail_as_before_on_a_cold_or_warm_belt(fresh_belt, B, outcomes):
+    calls = [
+        lambda: belt_verify(B),
+        lambda: belt_verify(B, m_range=(-2, 3)),
+        lambda: periodicity_check(B, cap=4),
+        lambda: periodicity_check(B, mode="y-system", cap=4),
+        lambda: fibonacci_polynomials(B),
+    ]
+    for warm in (None, A2):
+        got = []
+        for call in calls:
+            bipartite._shared_belt.cache_clear()
+            if warm is not None:
+                belt_of(warm)
+            try:
+                got.append(("ok", call()))
+            except (ValueError, AssertionError) as exc:
+                got.append((type(exc).__name__, str(exc)))
+        assert got == outcomes
 
 
 from rank2_forms import rank2_y13_closed_form
